@@ -1,8 +1,9 @@
+import os
 import pathlib
 
 import pytest
 
-from modfault import Rewriter, parse
+from modfault import FaultConfig, Rewriter, ZEROING, analyze, parse
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -14,6 +15,14 @@ CORPUS_FILES = {
     "vigilant-fixed": CORPUS / "vigilant-fixed.fj",
 }
 
+# Criterion 7's model: two zeroing faults with protected conditions.
+CRITERION_7 = FaultConfig(max_faults=2, kinds=(ZEROING,), protect_conditions=True)
+
+
+def load_program(name):
+    source = CORPUS_FILES[name].read_bytes()
+    return parse(source.decode("utf-8")), source
+
 
 @pytest.fixture(scope="session")
 def corpus_sources():
@@ -23,6 +32,16 @@ def corpus_sources():
 @pytest.fixture(scope="session")
 def corpus_programs(corpus_sources):
     return {name: parse(src) for name, src in corpus_sources.items()}
+
+
+@pytest.fixture(scope="session")
+def criterion_7_report():
+    """Criterion 7's analysis of vigilant-fixed, shared by the acceptance and
+    golden-report tests because it is the slowest run of the suite."""
+    program, source = load_program("vigilant-fixed")
+    path = str(CORPUS_FILES["vigilant-fixed"].relative_to(ROOT))
+    return analyze(program, CRITERION_7, path=path, source=source,
+                   jobs=os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
