@@ -9,14 +9,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .executor import SymbolicRun, inline, run_symbolic
+from .executor import SymbolicRun, inline, run_symbolic, subst
 from .faults import (
     FaultConfig, FaultVector, enumerate_sites, enumerate_vectors,
     fresh_name_base, inject,
 )
 from .printer import pretty_cond, pretty_expr
 from .rewriter import Rewriter, RewriteBudgetExceeded, degenerate_moduli
-from .terms import And, Cond, Expr, Or, Program, Var, Verify, cond_map
+from .terms import And, Cond, Expr, Or, Program, Verify, cond_map
 
 DETECTED = "detected"
 HARMLESS = "harmless"
@@ -70,16 +70,9 @@ class Report:
 
 
 def bind_results(cond: Cond, nominal: Expr, faulted: Expr) -> Cond:
-    mapping = {NOMINAL_RESULT: nominal, FAULTED_RESULT: faulted}
-
-    def sub(e: Expr) -> Expr:
-        if isinstance(e, Var) and e.name in mapping:
-            return mapping[e.name]
-        kids = e.children()
-        new = tuple(sub(c) for c in kids)
-        return e if new == kids else e.replace_children(*new)
-
-    return cond_map(cond, sub)
+    env = {NOMINAL_RESULT: nominal, FAULTED_RESULT: faulted}
+    cache: Dict[Expr, Expr] = {}
+    return cond_map(cond, lambda e: subst(e, env, cache))
 
 
 def _satisfied_branch(bound: Cond, template: Cond, rewriter: Rewriter) -> str:
@@ -119,10 +112,11 @@ def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
 def _analyze_vector(program: Program, vector: FaultVector, nominal: SymbolicRun,
                     rewriter: Rewriter) -> Outcome:
     fresh = frozenset(f.fresh_name for f in vector if f.fresh_name)
+    check_faults = {f.site.check: f.kind for f in vector if f.site.scope == "check"}
     try:
         faulted_program = inject(program, vector)
         unrolled = inline(faulted_program)
-        run = run_symbolic(unrolled, rewriter, fresh)
+        run = run_symbolic(unrolled, rewriter, fresh, check_faults)
         return classify(nominal, run, program.attack_condition, rewriter)
     except RewriteBudgetExceeded as err:
         return Outcome(FAILURE, error=str(err))

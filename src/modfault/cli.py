@@ -30,6 +30,8 @@ def _load(path: str):
         raise SystemExit(f"error: cannot read {path}: {err.strerror}")
     try:
         return parse(source.decode("utf-8")), source
+    except UnicodeDecodeError as err:
+        raise SystemExit(f"{path}: not UTF-8 text (byte {err.start})")
     except LanguageError as err:
         raise SystemExit(f"{path}: {err}")
 
@@ -52,25 +54,30 @@ def _parse_bool(text: str) -> bool:
 
 
 def cmd_analyze(args) -> int:
+    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    for fmt in formats:
+        if fmt not in FORMATS:
+            print(f"error: unknown format {fmt!r}; choose from {', '.join(FORMATS)}",
+                  file=sys.stderr)
+            return 1
     program, source = _load(args.file)
-    cfg = FaultConfig(
-        max_faults=args.faults,
-        kinds=_parse_kinds(args.kinds),
-        transient_enabled=_parse_bool(args.transient),
-        protect_conditions=args.protect_conditions,
-        max_vectors=args.max_vectors,
-    )
+    try:
+        cfg = FaultConfig(
+            max_faults=args.faults,
+            kinds=_parse_kinds(args.kinds),
+            transient_enabled=_parse_bool(args.transient),
+            protect_conditions=args.protect_conditions,
+            max_vectors=args.max_vectors,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     try:
         report = analyze(program, cfg, path=args.file, source=source,
                          jobs=args.jobs)
     except (EnumerationCapExceeded, AnalysisError, RewriteBudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    for fmt in formats:
-        if fmt not in FORMATS:
-            print(f"error: unknown format {fmt!r}", file=sys.stderr)
-            return 1
     name = Path(args.file).stem
     outdir = Path(args.out) if args.out else None
     for fmt in formats:

@@ -3,13 +3,19 @@
 Assigned variables are fully inlined so rewrite rules can match structurally
 (the subring collapse must see p inside p' = p*r*r, for instance).  Only
 noprop/prime declarations and fresh fault variables remain free.
+
+``inline`` is the one place where protection ends: the terms it returns
+carry no protection flags, so nothing downstream strips them again.  Faults
+on a verification's outcome never enter the program; ``run_symbolic`` takes
+them as an overlay keyed by check index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from .faults import RANDOMIZING, ZEROING
 from .rewriter import Rewriter, TRUE, UNKNOWN
 from .terms import (
     Assign, Cond, Expr, Program, Return, Var, Verify, cond_map,
@@ -26,7 +32,6 @@ class UnrolledTerm:
     """Closed checks in program order plus the closed returned expression."""
     checks: Tuple[Cond, ...]
     result: Expr
-    check_skips: Tuple[Optional[str], ...] = ()  # None | "pass" | "fire" per check
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,9 @@ class SymbolicRun:
         return self.detected_by is None
 
 
-def _subst(e: Expr, env: Dict[str, Expr], cache: Dict[Expr, Expr]) -> Expr:
+def subst(e: Expr, env: Dict[str, Expr], cache: Dict[Expr, Expr]) -> Expr:
+    """Replace every variable bound in env; cache is shared across calls that
+    use the same env."""
     hit = cache.get(e)
     if hit is not None:
         return hit
@@ -48,7 +55,7 @@ def _subst(e: Expr, env: Dict[str, Expr], cache: Dict[Expr, Expr]) -> Expr:
         out = env.get(e.name, e)
     else:
         kids = e.children()
-        new_kids = tuple(_subst(c, env, cache) for c in kids)
+        new_kids = tuple(subst(c, env, cache) for c in kids)
         out = e if new_kids == kids else e.replace_children(*new_kids)
     cache[e] = out
     return out
@@ -57,32 +64,35 @@ def _subst(e: Expr, env: Dict[str, Expr], cache: Dict[Expr, Expr]) -> Expr:
 def inline(program: Program) -> UnrolledTerm:
     """Replace every assigned variable by its defining expression.
 
-    Protection flags are stripped: they only matter for fault-site
-    enumeration, which happens on the source program before inlining.
+    Protection flags are stripped here and nowhere else: they only matter
+    for fault-site enumeration, which happens on the source program before
+    inlining.
     """
     env: Dict[str, Expr] = {}
     cache: Dict[Expr, Expr] = {}
     checks: List[Cond] = []
-    skips: List[Optional[str]] = []
     result: Optional[Expr] = None
     for st in program.statements:
         if isinstance(st, Assign):
-            env[st.target] = _subst(strip_protection(st.rhs), env, cache)
+            env[st.target] = subst(strip_protection(st.rhs), env, cache)
         elif isinstance(st, Verify):
-            closed = cond_map(st.condition,
-                              lambda e: _subst(strip_protection(e), env, cache))
-            checks.append(closed)
-            skips.append(getattr(st, "skip", None))
+            checks.append(cond_map(
+                st.condition, lambda e: subst(strip_protection(e), env, cache)))
         elif isinstance(st, Return):
-            result = _subst(strip_protection(st.value), env, cache)
+            result = subst(strip_protection(st.value), env, cache)
     if result is None:
         raise ExecutionError("program has no return statement")
-    return UnrolledTerm(tuple(checks), result, tuple(skips))
+    return UnrolledTerm(tuple(checks), result)
 
 
 def run_symbolic(u: UnrolledTerm, rewriter: Rewriter,
-                 fresh: FrozenSet[str] = frozenset()) -> SymbolicRun:
+                 fresh: FrozenSet[str] = frozenset(),
+                 check_faults: Optional[Mapping[int, str]] = None) -> SymbolicRun:
     """Evaluate the checks in order; the first provable abort wins.
+
+    ``check_faults`` maps a check index to the kind of fault on its outcome:
+    a zeroed outcome skips the abort (recorded as a warning), a randomized
+    one always fires it.
 
     A check whose condition is nonzero but not provably generically nonzero
     is passed through (the abort may fail to trigger for corner-case values)
@@ -90,13 +100,13 @@ def run_symbolic(u: UnrolledTerm, rewriter: Rewriter,
     such a path.
     """
     warnings: List[str] = []
-    skips = u.check_skips or (None,) * len(u.checks)
+    check_faults = check_faults or {}
     for k, check in enumerate(u.checks):
-        mode = skips[k] if k < len(skips) else None
-        if mode == "pass":
+        kind = check_faults.get(k)
+        if kind == ZEROING:
             warnings.append(f"check {k} skipped by a zeroed condition")
             continue
-        if mode == "fire":
+        if kind == RANDOMIZING:
             return SymbolicRun(k, None, tuple(warnings))
         verdict = rewriter.decide_check(check, fresh)
         if verdict == TRUE:

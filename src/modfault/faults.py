@@ -4,8 +4,9 @@ Two physical fault families are modelled on data only (control flow is out of
 scope): permanent faults corrupt a stored value, so every later read sees the
 corruption; transient faults corrupt a single read.  Either kind forces the
 value to zero or to a fresh variable with no properties.  Verification
-conditions can additionally have their comparison outcome zeroed, which skips
-the abort.
+conditions can additionally have their comparison outcome faulted: zeroed, it
+skips the abort; randomized, it always fires it.  Such check faults leave the
+program untouched; ``executor.run_symbolic`` applies them as an overlay.
 
 Protected source regions (curly braces) contribute no sites: a protected
 declaration or a wholly protected right-hand side models an input that the
@@ -18,12 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
-    Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Program, Return,
-    Statement, Var, Verify, ZERO, cond_exprs,
+    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, Expr, Neq, Or,
+    Program, Return, Statement, Var, Verify, ZERO, cond_exprs, replace_at,
 )
 
 ZEROING = "zeroing"
@@ -89,7 +90,6 @@ def _statement_slots(st: Statement, protect_conditions: bool) -> List[Tuple[int,
 
 
 def _cond_slots(c: Cond) -> List[Expr]:
-    from .terms import And, Or
     if isinstance(c, (And, Or)):
         return _cond_slots(c.lhs) + _cond_slots(c.rhs)
     return list(cond_exprs(c))
@@ -115,22 +115,13 @@ def enumerate_sites(program: Program, cfg: FaultConfig) -> List[FaultSite]:
         elif isinstance(st, Assign):
             if not st.rhs.protected:
                 sites.append(FaultSite("permanent", idx, variable=st.target))
-            if cfg.transient_enabled:
-                for slot, expr, _ in _statement_slots(st, cfg.protect_conditions):
-                    for path, _node in _walk_unprotected(expr, (slot,)):
-                        sites.append(FaultSite("transient", idx, path=path))
         elif isinstance(st, Verify):
             if not (cfg.protect_conditions or st.condition.protected):
                 sites.append(FaultSite("check", idx, check=check_index))
-                if cfg.transient_enabled:
-                    for slot, expr, faultable in _statement_slots(st, cfg.protect_conditions):
-                        if faultable:
-                            for path, _node in _walk_unprotected(expr, (slot,)):
-                                sites.append(FaultSite("transient", idx, path=path))
             check_index += 1
-        elif isinstance(st, Return):
-            if cfg.transient_enabled:
-                for slot, expr, _ in _statement_slots(st, cfg.protect_conditions):
+        if cfg.transient_enabled:
+            for slot, expr, faultable in _statement_slots(st, cfg.protect_conditions):
+                if faultable:
                     for path, _node in _walk_unprotected(expr, (slot,)):
                         sites.append(FaultSite("transient", idx, path=path))
     return sites
@@ -171,7 +162,10 @@ def enumerate_vectors(sites: Sequence[FaultSite], cfg: FaultConfig,
 
 
 def inject(program: Program, vector: FaultVector) -> Program:
-    """Apply a fault vector, returning a new program; the input is untouched."""
+    """Apply a fault vector, returning a new program; the input is untouched.
+
+    Faults on a check outcome are not applied here: ``run_symbolic`` takes
+    them as an overlay."""
     statements: List[Statement] = list(program.statements)
     declared_permanents: List[Fault] = []
     fresh_names = [f.fresh_name for f in vector if f.fresh_name]
@@ -186,17 +180,13 @@ def inject(program: Program, vector: FaultVector) -> Program:
 
     for fault in sorted(vector, key=_apply_order):
         site = fault.site
-        st = statements[site.statement]
         if site.scope == "check":
-            if not isinstance(st, Verify):
-                raise ValueError(f"check fault on non-verification statement: {site}")
-            mode = "pass" if fault.kind == ZEROING else "fire"
-            statements[site.statement] = replace(st, skip=mode)
-        elif site.scope == "transient":
-            value = ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
+            continue
+        st = statements[site.statement]
+        value = ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
+        if site.scope == "transient":
             statements[site.statement] = _replace_in_statement(st, site.path, value)
         elif site.scope == "permanent":
-            value = ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
             if isinstance(st, Assign):
                 statements[site.statement] = Assign(st.target, value)
             else:
@@ -226,20 +216,17 @@ def inject(program: Program, vector: FaultVector) -> Program:
 
 
 def _replace_in_statement(st: Statement, path: Tuple[int, ...], value: Expr) -> Statement:
-    from .terms import replace_at
     slot, rest = path[0], path[1:]
     if isinstance(st, Assign):
         return Assign(st.target, replace_at(st.rhs, rest, value))
     if isinstance(st, Return):
         return Return(replace_at(st.value, rest, value))
     if isinstance(st, Verify):
-        new_cond = _replace_in_cond(st.condition, slot, rest, value)
-        return replace(st, condition=new_cond)
+        return Verify(_replace_in_cond(st.condition, slot, rest, value), st.abort_value)
     raise ValueError(f"transient fault on statement without expressions: {st!r}")
 
 
 def _replace_in_cond(c: Cond, slot: int, path: Tuple[int, ...], value: Expr):
-    from .terms import And, Or, replace_at
     if isinstance(c, (And, Or)):
         left_count = len(_cond_slots(c.lhs))
         if slot < left_count:
@@ -249,7 +236,6 @@ def _replace_in_cond(c: Cond, slot: int, path: Tuple[int, ...], value: Expr):
                        protected=c.protected)
     exprs = list(cond_exprs(c))
     exprs[slot] = replace_at(exprs[slot], path, value)
-    from .terms import Eq, Neq
     if isinstance(c, (Eq, Neq)):
         return type(c)(exprs[0], exprs[1], protected=c.protected)
     return type(c)(exprs[0], exprs[1], exprs[2], protected=c.protected)

@@ -222,12 +222,7 @@ def eval_program(program: Program, env: ConcreteEnv):
         if isinstance(st, Assign):
             env.values[st.target] = eval_expr(st.rhs, env)
         elif isinstance(st, Verify):
-            fired = eval_cond(st.condition, env)
-            if st.skip == "pass":
-                fired = False
-            elif st.skip == "fire":
-                fired = True
-            if fired:
+            if eval_cond(st.condition, env):
                 return ("error", check_index)
             check_index += 1
         elif isinstance(st, Return):

@@ -276,7 +276,7 @@ class _Parser:
             return DeclarePrime(names, flags)
         if tok.text == "if":
             self.next()
-            cond = self.parse_maybe_protected_cond()
+            cond = self.parse_cond()
             self.expect("abort")
             self.expect("with")
             value = self.parse_maybe_protected_expr()
@@ -295,9 +295,6 @@ class _Parser:
             return Assign(tok.text, rhs)
         raise self.error(f"expected a statement, found {tok.text!r}"
                          if tok.text else "unexpected end of input")
-
-    def parse_maybe_protected_cond(self) -> Cond:
-        return self.parse_cond()
 
     def parse_program(self) -> Program:
         statements: List[Statement] = []

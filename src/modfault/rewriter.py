@@ -9,6 +9,10 @@ identity (1+x)^d = 1+d*x (mod x^2).  Distributivity is deliberately absent
 (it is not confluent), so syntactically different normal forms denote
 generically different values.
 
+Terms arrive without protection flags: ``executor.inline`` is the one place
+that strips them.  Normal forms never carry the flag either way, because
+``_norm`` rebuilds every node it returns and drops the flag on variables.
+
 A modulus that normalizes to zero makes the reduction inert: ``Mod(x, 0)``
 is kept as-is and reported as a degenerate modulus, matching the concrete
 evaluator's ``x % 0 == x`` convention while keeping the residue opaque to
@@ -35,8 +39,10 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .terms import (
     And, Cond, Eq, EqMod, Expr, Mod, Neq, NeqMod, ONE, One, Opp, Or, Pow,
-    Prod, Sum, Var, ZERO, Zero, sort_key, strip_protection, walk,
+    Prod, Sum, Var, ZERO, Zero, sort_key, walk,
 )
+# Unused here, but kept bound: the benchmark's tracer patches this name.
+from .terms import strip_protection  # noqa: F401
 
 TRUE = "true"
 FALSE = "false"
@@ -69,7 +75,7 @@ class Rewriter:
 
     def normalize(self, e: Expr) -> Expr:
         self._steps = 0
-        return self._norm(strip_protection(e), None)
+        return self._norm(e, None)
 
     def decide(self, c: Cond) -> bool:
         """Two-valued deciding for attack success conditions."""
@@ -321,8 +327,10 @@ class Rewriter:
         raise TypeError(f"not a condition: {c!r}")
 
     def _equal(self, lhs: Expr, rhs: Expr) -> bool:
-        a = self._norm(strip_protection(lhs), None)
-        b = self._norm(strip_protection(rhs), None)
+        return self._equal_normal(self._norm(lhs, None), self._norm(rhs, None))
+
+    def _equal_normal(self, a: Expr, b: Expr) -> bool:
+        """Equality of two normal forms."""
         if a == b:
             return True
         if isinstance(a, Mod) and isinstance(b, Mod) and a.modulus == b.modulus \
@@ -333,11 +341,14 @@ class Rewriter:
 
     def _congruence_delta(self, lhs: Expr, rhs: Expr, modulus: Expr) -> Expr:
         """Normal form of lhs - rhs in Z_modulus, after the cancellation lemma."""
-        a = self._norm(strip_protection(lhs), None)
-        b = self._norm(strip_protection(rhs), None)
-        m = self._norm(strip_protection(modulus), None)
-        a, b, m = self._lemma_cancel(a, b, m)
+        a, b, m = self._normal_operands(lhs, rhs, modulus)
         return self._norm(Mod(Sum((a, Opp(b))), m), None)
+
+    def _normal_operands(self, lhs: Expr, rhs: Expr,
+                         modulus: Expr) -> Tuple[Expr, Expr, Expr]:
+        """Normal forms of a congruence's operands, after the cancellation lemma."""
+        return self._lemma_cancel(self._norm(lhs, None), self._norm(rhs, None),
+                                  self._norm(modulus, None))
 
     def _lemma_cancel(self, a: Expr, b: Expr, m: Expr) -> Tuple[Expr, Expr, Expr]:
         """a*x = b*x (mod N*x)  reduces to  a = b (mod N); a or b may be zero."""
@@ -395,9 +406,9 @@ class Rewriter:
             holds = self._check_congruence(c.lhs, c.rhs, c.modulus, fresh)
             return holds if isinstance(c, EqMod) else _negate3(holds)
         if isinstance(c, (Eq, Neq)):
-            a = self._norm(strip_protection(c.lhs), None)
-            b = self._norm(strip_protection(c.rhs), None)
-            if self._equal(a, b):
+            a = self._norm(c.lhs, None)
+            b = self._norm(c.rhs, None)
+            if self._equal_normal(a, b):
                 holds = TRUE
             else:
                 delta = self._norm(Sum((a, self._mk_opp(b))), None)
@@ -410,10 +421,7 @@ class Rewriter:
         """Three-valued congruence for verifications, decided per CRT
         component: cofactors that cancel in a subring (e.g. a blinding factor
         congruent to 1 mod r^2) must not mask a fault there."""
-        a = self._norm(strip_protection(lhs), None)
-        b = self._norm(strip_protection(rhs), None)
-        m = self._norm(strip_protection(modulus), None)
-        a, b, m = self._lemma_cancel(a, b, m)
+        a, b, m = self._normal_operands(lhs, rhs, modulus)
         difference = Sum((a, Opp(b)))
         components: List[Expr] = [m]
         if isinstance(m, Prod):

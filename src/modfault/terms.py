@@ -2,8 +2,9 @@
 
 Expressions form an arithmetic term tree over Z (sums, products, powers,
 modular reduction); every node carries a ``protected`` flag set by curly
-braces in the source.  Protection only matters to fault-site enumeration --
-the rewriter ignores it (the executor strips flags before terms reach it).
+braces in the source.  Protection only matters to fault-site enumeration:
+``executor.inline`` strips it while closing the program into terms, and
+normal forms never carry it.
 
 All nodes are immutable; structural equality includes the protection flag.
 Hashes are cached on first use because the rewriter memoizes on deep terms.
@@ -168,10 +169,6 @@ ONE = One()
 _KIND_RANK = {Zero: 0, One: 1, Var: 2, Opp: 3, Pow: 4, Prod: 5, Sum: 6, Mod: 7}
 
 
-def kind_rank(e: Expr) -> int:
-    return _KIND_RANK[type(e)]
-
-
 def sort_key(e: Expr):
     """Canonical total order: kind rank, then Var name, then children."""
     rank = _KIND_RANK[type(e)]
@@ -323,9 +320,6 @@ class Assign:
 class Verify:
     condition: Cond
     abort_value: Expr
-    # fault-injection marker: None, "pass" (condition zeroed, abort never
-    # fires) or "fire" (condition randomized, abort always fires)
-    skip: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=True)

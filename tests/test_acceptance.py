@@ -7,7 +7,7 @@ import time
 
 from modfault import (
     ATTACK, FaultConfig, Mod, One, Opp, Pow, Prod, RANDOMIZING, Rewriter,
-    Sum, Var, ZEROING, Zero, analyze, inline, parse_expr, run_symbolic,
+    Sum, Var, Zero, analyze, inline, parse_expr, run_symbolic,
 )
 from modfault.analyzer import removed_check_variants
 from modfault.cli import main as cli_main

@@ -60,12 +60,33 @@ def test_syntax_error_maps_to_exit_1(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 1
 
 
+def test_non_utf8_file_maps_to_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.fj"
+    bad.write_bytes(b"noprop M ;\xff return M ; _ != @")
+    assert main(["parse", str(bad)]) == 1
+    assert "not UTF-8 text (byte 10)" in capsys.readouterr().err
+
+
 def test_unknown_flag_maps_to_exit_1(capsys):
     assert main(["analyze", UNPROTECTED, "--bogus"]) == 1
 
 
 def test_bad_kind_maps_to_exit_1(capsys):
     assert main(["analyze", UNPROTECTED, "--kinds", "sparkles"]) == 1
+
+
+def test_zero_faults_maps_to_exit_1(capsys):
+    assert main(["analyze", UNPROTECTED, "--faults", "0"]) == 1
+    assert "max_faults must be >= 1" in capsys.readouterr().err
+
+
+def test_bad_format_is_rejected_before_analysis(monkeypatch, capsys):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analyze ran before the format was checked")
+
+    monkeypatch.setattr("modfault.cli.analyze", no_analysis)
+    assert main(["analyze", FIXED, "--jobs", "1", "--format", "text,jsn"]) == 1
+    assert "unknown format 'jsn'" in capsys.readouterr().err
 
 
 def test_max_vectors_cap(capsys):

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from modfault import (
-    EnumerationCapExceeded, FaultConfig, RANDOMIZING, ZEROING,
-    count_vectors, enumerate_sites, enumerate_vectors, inject, parse,
+    EnumerationCapExceeded, FaultConfig, RANDOMIZING, Rewriter, ZEROING,
+    count_vectors, enumerate_sites, enumerate_vectors, inject, nominal_run,
+    parse,
 )
+from modfault.analyzer import _analyze_vector
 from modfault.faults import Fault, FaultSite, fresh_name_base
 from modfault.terms import Verify, walk, subterm_at
 
@@ -147,18 +149,24 @@ def test_transient_zero_replaces_single_occurrence(corpus_programs):
             assert a == b
 
 
-def test_check_skip_marks_verification(corpus_programs):
+def test_check_fault_is_a_run_overlay(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
-    site = next(s for s in enumerate_sites(prog, FaultConfig())
-                if s.scope == "check")
-    zero = inject(prog, (Fault(site, ZEROING),))
-    rand = inject(prog, (Fault(site, RANDOMIZING, "f1"),))
-    # the fresh-variable declaration may shift statement indices, so locate
-    # the marked verification by its check order
-    assert [v.skip for v in zero.verifications()] == \
-        ["pass"] + [None] * 6
-    assert [v.skip for v in rand.verifications()] == \
-        ["fire"] + [None] * 6
+    rw = Rewriter(primes=prog.prime_names())
+    nominal = nominal_run(prog, rw)
+    check_sites = [s for s in enumerate_sites(prog, FaultConfig())
+                   if s.scope == "check"]
+    assert [s.check for s in check_sites] == list(range(7))
+    for site in check_sites:
+        k = site.check
+        zero = (Fault(site, ZEROING),)
+        rand = (Fault(site, RANDOMIZING, "f1"),)
+        # the program keeps every verification as written
+        assert inject(prog, zero).verifications() == prog.verifications()
+        assert inject(prog, rand).verifications() == prog.verifications()
+        skipped = _analyze_vector(prog, zero, nominal, rw)
+        assert skipped.detected_by is None
+        assert f"check {k} skipped by a zeroed condition" in skipped.warnings
+        assert _analyze_vector(prog, rand, nominal, rw).detected_by == k
 
 
 def test_fresh_base_avoids_collisions():

@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from modfault import FaultConfig, RANDOMIZING, ZEROING, analyze
+from modfault import FaultConfig, RANDOMIZING, analyze
 from modfault.reporting import render
 
 from conftest import CORPUS_FILES, CRITERION_7, ROOT, load_program
