@@ -77,15 +77,14 @@ class FaultConfig:
             raise ValueError(f"kinds must be a non-empty subset of {KIND_ORDER}")
 
 
-def _statement_slots(st: Statement, protect_conditions: bool) -> List[Tuple[int, Expr, bool]]:
-    """Expression holes of a statement: (slot index, expression, faultable)."""
+def _statement_slots(st: Statement, protect_conditions: bool) -> List[Tuple[int, Expr]]:
+    """Faultable expression holes of a statement: (slot index, expression)."""
     if isinstance(st, Assign):
-        return [(0, st.rhs, True)]
+        return [(0, st.rhs)]
     if isinstance(st, Return):
-        return [(0, st.value, True)]
-    if isinstance(st, Verify):
-        faultable = not (protect_conditions or st.condition.protected)
-        return [(i, e, faultable) for i, e in enumerate(_cond_slots(st.condition))]
+        return [(0, st.value)]
+    if isinstance(st, Verify) and not (protect_conditions or st.condition.protected):
+        return list(enumerate(_cond_slots(st.condition)))
     return []
 
 
@@ -120,10 +119,9 @@ def enumerate_sites(program: Program, cfg: FaultConfig) -> List[FaultSite]:
                 sites.append(FaultSite("check", idx, check=check_index))
             check_index += 1
         if cfg.transient_enabled:
-            for slot, expr, faultable in _statement_slots(st, cfg.protect_conditions):
-                if faultable:
-                    for path, _node in _walk_unprotected(expr, (slot,)):
-                        sites.append(FaultSite("transient", idx, path=path))
+            for slot, expr in _statement_slots(st, cfg.protect_conditions):
+                for path, _node in _walk_unprotected(expr, (slot,)):
+                    sites.append(FaultSite("transient", idx, path=path))
     return sites
 
 
