@@ -71,8 +71,7 @@ class Report:
 
 def bind_results(cond: Cond, nominal: Expr, faulted: Expr) -> Cond:
     env = {NOMINAL_RESULT: nominal, FAULTED_RESULT: faulted}
-    cache: Dict[Expr, Expr] = {}
-    return cond_map(cond, lambda e: subst(e, env, cache))
+    return cond_map(cond, lambda e: subst(e, env))
 
 
 def _satisfied_branch(bound: Cond, template: Cond, rewriter: Rewriter) -> str:
@@ -111,8 +110,9 @@ def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
 
 def _analyze_vector(program: Program, vector: FaultVector, nominal: SymbolicRun,
                     rewriter: Rewriter) -> Outcome:
-    fresh = frozenset(f.fresh_name for f in vector if f.fresh_name)
     check_faults = {f.site.check: f.kind for f in vector if f.site.scope == "check"}
+    fresh = frozenset(f.fresh_name for f in vector
+                      if f.fresh_name and f.site.scope != "check")
     try:
         faulted_program = inject(program, vector)
         unrolled = inline(faulted_program)

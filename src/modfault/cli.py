@@ -207,6 +207,11 @@ def main(argv=None) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         return args.func(args)
+    except RecursionError:
+        # every subcommand walks terms recursively; the pool re-raises a
+        # worker's error here too
+        print(f"error: {args.file}: terms nest too deeply to analyze", file=sys.stderr)
+        return 1
     except SystemExit as err:
         if isinstance(err.code, str):
             print(err.code, file=sys.stderr)

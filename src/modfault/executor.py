@@ -45,20 +45,13 @@ class SymbolicRun:
         return self.detected_by is None
 
 
-def subst(e: Expr, env: Dict[str, Expr], cache: Dict[Expr, Expr]) -> Expr:
-    """Replace every variable bound in env; cache is shared across calls that
-    use the same env."""
-    hit = cache.get(e)
-    if hit is not None:
-        return hit
+def subst(e: Expr, env: Dict[str, Expr]) -> Expr:
+    """Replace every variable bound in env."""
     if isinstance(e, Var):
-        out = env.get(e.name, e)
-    else:
-        kids = e.children()
-        new_kids = tuple(subst(c, env, cache) for c in kids)
-        out = e if new_kids == kids else e.replace_children(*new_kids)
-    cache[e] = out
-    return out
+        return env.get(e.name, e)
+    kids = e.children()
+    new_kids = tuple(subst(c, env) for c in kids)
+    return e if new_kids == kids else e.with_children(new_kids)
 
 
 def inline(program: Program) -> UnrolledTerm:
@@ -69,17 +62,16 @@ def inline(program: Program) -> UnrolledTerm:
     inlining.
     """
     env: Dict[str, Expr] = {}
-    cache: Dict[Expr, Expr] = {}
     checks: List[Cond] = []
     result: Optional[Expr] = None
     for st in program.statements:
         if isinstance(st, Assign):
-            env[st.target] = subst(strip_protection(st.rhs), env, cache)
+            env[st.target] = subst(strip_protection(st.rhs), env)
         elif isinstance(st, Verify):
             checks.append(cond_map(
-                st.condition, lambda e: subst(strip_protection(e), env, cache)))
+                st.condition, lambda e: subst(strip_protection(e), env)))
         elif isinstance(st, Return):
-            result = subst(strip_protection(st.value), env, cache)
+            result = subst(strip_protection(st.value), env)
     if result is None:
         raise ExecutionError("program has no return statement")
     return UnrolledTerm(tuple(checks), result)

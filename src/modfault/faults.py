@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, Expr, Neq, Or,
-    Program, Return, Statement, Var, Verify, ZERO, cond_exprs, replace_at,
+    And, Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Or, Program, Return,
+    Statement, Var, Verify, ZERO, cond_exprs, cond_map, replace_at,
 )
 
 ZEROING = "zeroing"
@@ -166,7 +166,8 @@ def inject(program: Program, vector: FaultVector) -> Program:
     them as an overlay."""
     statements: List[Statement] = list(program.statements)
     declared_permanents: List[Fault] = []
-    fresh_names = [f.fresh_name for f in vector if f.fresh_name]
+    fresh_names = [f.fresh_name for f in vector
+                   if f.fresh_name and f.site.scope != "check"]
 
     # Deepest transient reads first, then whole-value permanents: when sites
     # overlap, the corruption closest to the stored value is applied before
@@ -220,20 +221,9 @@ def _replace_in_statement(st: Statement, path: Tuple[int, ...], value: Expr) -> 
     if isinstance(st, Return):
         return Return(replace_at(st.value, rest, value))
     if isinstance(st, Verify):
-        return Verify(_replace_in_cond(st.condition, slot, rest, value), st.abort_value)
+        # cond_map visits the leaves in _cond_slots order
+        slots = itertools.count()
+        condition = cond_map(st.condition, lambda e: replace_at(e, rest, value)
+                             if next(slots) == slot else e)
+        return Verify(condition, st.abort_value)
     raise ValueError(f"transient fault on statement without expressions: {st!r}")
-
-
-def _replace_in_cond(c: Cond, slot: int, path: Tuple[int, ...], value: Expr):
-    if isinstance(c, (And, Or)):
-        left_count = len(_cond_slots(c.lhs))
-        if slot < left_count:
-            return type(c)(_replace_in_cond(c.lhs, slot, path, value), c.rhs,
-                           protected=c.protected)
-        return type(c)(c.lhs, _replace_in_cond(c.rhs, slot - left_count, path, value),
-                       protected=c.protected)
-    exprs = list(cond_exprs(c))
-    exprs[slot] = replace_at(exprs[slot], path, value)
-    if isinstance(c, (Eq, Neq)):
-        return type(c)(exprs[0], exprs[1], protected=c.protected)
-    return type(c)(exprs[0], exprs[1], exprs[2], protected=c.protected)

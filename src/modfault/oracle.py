@@ -29,6 +29,10 @@ class OracleError(Exception):
     pass
 
 
+class _NegativeExponent(OracleError):
+    """A negative exponent met outside any modular context."""
+
+
 @dataclass
 class ConcreteEnv:
     """Integer assignment for every free variable of a program."""
@@ -176,15 +180,15 @@ def _eval_pow(e: Pow, env: ConcreteEnv, modulus: Optional[int]) -> int:
     base = eval_expr(e.base, env, modulus)
     try:
         exp = eval_expr(e.exponent, env, None)
-    except OracleError as err:
-        if "negative exponent" not in str(err) or modulus is None:
+    except _NegativeExponent:
+        if modulus is None:
             raise
         # the rewriter unwraps Fermat-reduced exponents; interpret them
         # modulo lambda of the enclosing ring
         exp = eval_expr(e.exponent, env, _carmichael(modulus)) % _carmichael(modulus)
     if exp < 0:
         if modulus is None:
-            raise OracleError(f"negative exponent outside a mod context: {exp}")
+            raise _NegativeExponent(f"negative exponent outside a mod context: {exp}")
         try:
             inv = pow(base, -1, modulus)
         except ValueError:

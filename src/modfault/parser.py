@@ -12,7 +12,7 @@ associative), ``*``, ``+``/binary ``-``, ``mod`` (loosest, left associative).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from .terms import (
@@ -203,7 +203,7 @@ class _Parser:
                 inner = self.parse_cond()
                 self.expect("}")
                 if self.peek().kind in ("and", "or", "eof") or self.peek().text in (")", "abort"):
-                    return _protect_cond(inner)
+                    return replace(inner, protected=True)
             except LanguageError:
                 pass
             self.pos = save
@@ -313,14 +313,6 @@ class _Parser:
         return Program(tuple(statements), condition)
 
 
-def _protect_cond(c: Cond) -> Cond:
-    if isinstance(c, (And, Or)):
-        return type(c)(c.lhs, c.rhs, protected=True)
-    if isinstance(c, (Eq, Neq)):
-        return type(c)(c.lhs, c.rhs, protected=True)
-    return type(c)(c.lhs, c.rhs, c.modulus, protected=True)
-
-
 def _validate(program: Program) -> None:
     declared = set()
     returned = False
@@ -364,8 +356,12 @@ def _check_uses(used: set, declared: set, where: str) -> None:
 
 def parse(source: str) -> Program:
     """Parse and validate a complete program."""
-    program = _Parser(tokenize(source)).parse_program()
-    _validate(program)
+    parser = _Parser(tokenize(source))
+    try:
+        program = parser.parse_program()
+        _validate(program)
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
     return program
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import html
+import io
 import json
 from typing import Dict, List
 
@@ -146,7 +147,12 @@ def render(report: Report, fmt: str) -> bytes:
     if fmt == "text":
         return render_text(report).encode()
     if fmt == "json":
-        return (json.dumps(report_dict(report), indent=2) + "\n").encode()
+        # json.dump writes each chunk as it is made; json.dumps would hold
+        # all of them until the final join, a large peak for a big report.
+        buf = io.StringIO()
+        json.dump(report_dict(report), buf, indent=2)
+        buf.write("\n")
+        return buf.getvalue().encode()
     if fmt == "html":
         return render_html(report).encode()
     raise ValueError(f"unknown report format {fmt!r}; choose from {FORMATS}")

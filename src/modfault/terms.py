@@ -6,14 +6,18 @@ braces in the source.  Protection only matters to fault-site enumeration:
 ``executor.inline`` strips it while closing the program into terms, and
 normal forms never carry it.
 
-All nodes are immutable; structural equality includes the protection flag.
-Hashes are cached on first use because the rewriter memoizes on deep terms.
+Expression nodes are interned: each distinct term, protection flag
+included, is built once and shared, so equality is identity, and the facts the
+rewriter and the executor ask of a node on every use (hash, sort key,
+protection-free twin) are computed once, when it is built.  Conditions and
+programs are frozen dataclasses over those nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterator, Tuple, Union
 
 
 class LanguageError(Exception):
@@ -29,155 +33,160 @@ class LanguageError(Exception):
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
-class Expr:
-    protected: bool = field(default=False, kw_only=True)
+# Every live node, keyed by kind name, field values and protection flag.  A
+# node leaves the table with its last reference.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
 
-    def _hash_fields(self) -> tuple:
-        return (type(self).__name__, self.protected)
+
+class Expr:
+    """Interned term node.
+
+    ``Kind(*fields, protected=flag)`` returns the live node with those fields
+    when there is one, so equal terms are one object and ``==`` is identity.
+    The hash (of the intern key, so equal terms hash alike across lifetimes),
+    the canonical sort key and the protection-free twin are fixed when the
+    node is built.
+    """
+
+    __slots__ = ("protected", "_key", "_hash", "_kids", "_sort_key", "_plain",
+                 "__weakref__")
+    _fields: Tuple[str, ...] = ()
+    # leaf: no children; fixed: every field is a child; nary: one field
+    # holding a tuple of children
+    _shape = "leaf"
+    _rank = 0  # position of the kind in the canonical order
+
+    def __new__(cls, *values, protected: bool = False):
+        key = (cls.__name__, *values, protected)
+        node = _INTERNED.get(key)
+        if node is not None:
+            return node
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {values!r}")
+        if cls._shape == "leaf":
+            kids = ()
+            order = (cls._rank, *values)
+        elif cls._shape == "nary":
+            kids = values[0]
+            order = (cls._rank, len(kids), *(k._sort_key for k in kids))
+        else:
+            kids = values
+            order = (cls._rank, *(k._sort_key for k in kids))
+        plain = None  # None: the node is its own protection-free twin
+        if protected or any(k._plain is not None for k in kids):
+            plain = cls(*cls._values_over(values, [strip_protection(k) for k in kids]))
+        node = object.__new__(cls)
+        init = object.__setattr__
+        for name, value in zip(cls._fields, values):
+            init(node, name, value)
+        init(node, "protected", protected)
+        init(node, "_key", key)
+        init(node, "_hash", hash(key))
+        init(node, "_kids", kids)
+        init(node, "_sort_key", order)
+        init(node, "_plain", plain)
+        _INTERNED[key] = node
+        return node
+
+    @classmethod
+    def _values_over(cls, values: tuple, kids) -> tuple:
+        """Field values of this kind with the given children."""
+        if cls._shape == "leaf":
+            return values
+        if cls._shape == "nary":
+            return (tuple(kids),)
+        return tuple(kids)
 
     def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(self._hash_fields())
-            object.__setattr__(self, "_h", h)
-        return h
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _unpickle, (type(self), self._key[1:-1], self.protected)
+
+    def __repr__(self):
+        fields = "".join(f", {name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}(protected={self.protected!r}{fields})"
 
     def children(self) -> Tuple["Expr", ...]:
-        return ()
+        return self._kids
 
-    def replace_children(self, *children: "Expr", protected: Optional[bool] = None) -> "Expr":
-        raise NotImplementedError
+    def with_children(self, kids) -> "Expr":
+        """The node of this kind, name and protection over other children."""
+        return type(self)(*self._values_over(self._key[1:-1], kids),
+                          protected=self.protected)
 
     def with_protected(self, flag: bool) -> "Expr":
-        if self.protected == flag:
-            return self
-        return self.replace_children(*self.children(), protected=flag)
+        return type(self)(*self._key[1:-1], protected=flag)
 
 
-@dataclass(frozen=True, eq=True)
+def _unpickle(cls, values: tuple, protected: bool) -> Expr:
+    return cls(*values, protected=protected)
+
+
 class Zero(Expr):
-    __hash__ = Expr.__hash__
-
-    def replace_children(self, *children, protected=None):
-        return Zero(protected=self.protected if protected is None else protected)
+    __slots__ = ()
+    _rank = 0
 
 
-@dataclass(frozen=True, eq=True)
 class One(Expr):
-    __hash__ = Expr.__hash__
-
-    def replace_children(self, *children, protected=None):
-        return One(protected=self.protected if protected is None else protected)
+    __slots__ = ()
+    _rank = 1
 
 
-@dataclass(frozen=True, eq=True)
 class Var(Expr):
-    name: str = ""
-    __hash__ = Expr.__hash__
-
-    def _hash_fields(self):
-        return ("Var", self.name, self.protected)
-
-    def replace_children(self, *children, protected=None):
-        return Var(self.name, protected=self.protected if protected is None else protected)
+    __slots__ = _fields = ("name",)
+    _rank = 2
 
 
-@dataclass(frozen=True, eq=True)
 class Opp(Expr):
-    arg: Expr = None
-    __hash__ = Expr.__hash__
-
-    def _hash_fields(self):
-        return ("Opp", self.arg, self.protected)
-
-    def children(self):
-        return (self.arg,)
-
-    def replace_children(self, *children, protected=None):
-        (arg,) = children
-        return Opp(arg, protected=self.protected if protected is None else protected)
+    __slots__ = _fields = ("arg",)
+    _shape = "fixed"
+    _rank = 3
 
 
-@dataclass(frozen=True, eq=True)
-class Sum(Expr):
-    operands: Tuple[Expr, ...] = ()
-    __hash__ = Expr.__hash__
-
-    def _hash_fields(self):
-        return ("Sum", self.operands, self.protected)
-
-    def children(self):
-        return self.operands
-
-    def replace_children(self, *children, protected=None):
-        return Sum(tuple(children), protected=self.protected if protected is None else protected)
-
-
-@dataclass(frozen=True, eq=True)
-class Prod(Expr):
-    operands: Tuple[Expr, ...] = ()
-    __hash__ = Expr.__hash__
-
-    def _hash_fields(self):
-        return ("Prod", self.operands, self.protected)
-
-    def children(self):
-        return self.operands
-
-    def replace_children(self, *children, protected=None):
-        return Prod(tuple(children), protected=self.protected if protected is None else protected)
-
-
-@dataclass(frozen=True, eq=True)
 class Pow(Expr):
-    base: Expr = None
-    exponent: Expr = None
-    __hash__ = Expr.__hash__
-
-    def _hash_fields(self):
-        return ("Pow", self.base, self.exponent, self.protected)
-
-    def children(self):
-        return (self.base, self.exponent)
-
-    def replace_children(self, *children, protected=None):
-        base, exponent = children
-        return Pow(base, exponent, protected=self.protected if protected is None else protected)
+    __slots__ = _fields = ("base", "exponent")
+    _shape = "fixed"
+    _rank = 4
 
 
-@dataclass(frozen=True, eq=True)
+class Prod(Expr):
+    __slots__ = _fields = ("operands",)
+    _shape = "nary"
+    _rank = 5
+
+
+class Sum(Expr):
+    __slots__ = _fields = ("operands",)
+    _shape = "nary"
+    _rank = 6
+
+
 class Mod(Expr):
-    body: Expr = None
-    modulus: Expr = None
-    __hash__ = Expr.__hash__
-
-    def _hash_fields(self):
-        return ("Mod", self.body, self.modulus, self.protected)
-
-    def children(self):
-        return (self.body, self.modulus)
-
-    def replace_children(self, *children, protected=None):
-        body, modulus = children
-        return Mod(body, modulus, protected=self.protected if protected is None else protected)
+    __slots__ = _fields = ("body", "modulus")
+    _shape = "fixed"
+    _rank = 7
 
 
 ZERO = Zero()
 ONE = One()
 
-_KIND_RANK = {Zero: 0, One: 1, Var: 2, Opp: 3, Pow: 4, Prod: 5, Sum: 6, Mod: 7}
-
 
 def sort_key(e: Expr):
-    """Canonical total order: kind rank, then Var name, then children."""
-    rank = _KIND_RANK[type(e)]
-    if isinstance(e, Var):
-        return (rank, e.name)
-    kids = e.children()
-    if isinstance(e, (Sum, Prod)):
-        return (rank, len(kids)) + tuple(sort_key(c) for c in kids)
-    return (rank,) + tuple(sort_key(c) for c in kids)
+    """Canonical total order: kind rank, then Var name or operand count, then
+    the children's keys."""
+    return e._sort_key
+
+
+def strip_protection(e: Expr) -> Expr:
+    """The node with every protection flag below and at it cleared."""
+    return e if e._plain is None else e._plain
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -198,14 +207,7 @@ def replace_at(e: Expr, path: Tuple[int, ...], new: Expr) -> Expr:
         return new
     kids = list(e.children())
     kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return e.replace_children(*kids)
-
-
-def strip_protection(e: Expr) -> Expr:
-    kids = tuple(strip_protection(c) for c in e.children())
-    if not e.protected and kids == e.children():
-        return e
-    return e.replace_children(*kids, protected=False)
+    return e.with_children(kids)
 
 
 def free_vars(e: Expr) -> set:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from modfault.cli import main
 
 from conftest import CORPUS_FILES
@@ -95,7 +97,55 @@ def test_max_vectors_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def _run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "modfault.cli", *argv],
+                          capture_output=True, text=True)
+
+
 def test_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "modfault.cli", "parse",
-                           UNPROTECTED], capture_output=True, text=True)
-    assert proc.returncode == 0
+    assert _run_cli("parse", UNPROTECTED).returncode == 0
+
+
+DEEP_EXPRESSIONS = {
+    "parens": "(" * 1000 + "a" + ")" * 1000,
+    "powers": "a" + " ^ a" * 2000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_EXPRESSIONS))
+def test_deep_expression_maps_to_exit_1(tmp_path, name):
+    deep = tmp_path / f"{name}.fj"
+    deep.write_text(f"noprop a ;\nx := {DEEP_EXPRESSIONS[name]} ;\nreturn x ;\n_ != @\n")
+    proc = _run_cli("analyze", str(deep), "--jobs", "1")
+    assert proc.returncode == 1
+    assert f"{deep}: expression nested too deeply at 2:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _chain_program():
+    lines = ["noprop a ;", "x0 := a ;"]
+    lines += [f"x{i} := x{i - 1} * a ;" for i in range(1, 1000)]
+    return "\n".join(lines + ["return x999 ;", "_ != @"]) + "\n"
+
+
+DEEP_TERMS = {
+    # parses, but inlines to a product nested 1,000 deep
+    "chain": _chain_program(),
+    # parses, but prints too deeply nested
+    "minus": "noprop a ;\nx := " + "- " * 600 + "a ;\nreturn x ;\n_ != @\n",
+}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("chain", ["analyze", "--jobs", "1"]),
+    ("chain", ["analyze", "--jobs", "2"]),
+    ("chain", ["oracle"]),
+    ("minus", ["parse"]),
+])
+def test_deep_term_maps_to_exit_1(tmp_path, name, argv):
+    deep = tmp_path / f"{name}.fj"
+    deep.write_text(DEEP_TERMS[name])
+    proc = _run_cli(argv[0], str(deep), *argv[1:])
+    assert proc.returncode == 1
+    assert f"error: {deep}: terms nest too deeply to analyze" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -163,6 +163,8 @@ def test_check_fault_is_a_run_overlay(corpus_programs):
         # the program keeps every verification as written
         assert inject(prog, zero).verifications() == prog.verifications()
         assert inject(prog, rand).verifications() == prog.verifications()
+        # nor declares a fresh name for the randomized outcome
+        assert inject(prog, rand) == prog
         skipped = _analyze_vector(prog, zero, nominal, rw)
         assert skipped.detected_by is None
         assert f"check {k} skipped by a zeroed condition" in skipped.warnings

@@ -1,0 +1,120 @@
+import gc
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modfault import Mod, One, Opp, Pow, Prod, Sum, Var, Zero, parse_expr
+from modfault.terms import sort_key, strip_protection
+
+NAMES = ("a", "b", "p", "q", "M", "x_1")
+
+# The recursive definitions that interning replaced, kept as the reference.
+_KIND_RANK = {Zero: 0, One: 1, Var: 2, Opp: 3, Pow: 4, Prod: 5, Sum: 6, Mod: 7}
+
+
+def reference_sort_key(e):
+    rank = _KIND_RANK[type(e)]
+    if isinstance(e, Var):
+        return (rank, e.name)
+    kids = e.children()
+    if isinstance(e, (Sum, Prod)):
+        return (rank, len(kids)) + tuple(reference_sort_key(c) for c in kids)
+    return (rank,) + tuple(reference_sort_key(c) for c in kids)
+
+
+def reference_strip(e):
+    kids = tuple(reference_strip(c) for c in e.children())
+    return e.with_children(kids).with_protected(False)
+
+
+def maybe_protected(strategy):
+    return st.tuples(strategy, st.booleans()).map(lambda t: t[0].with_protected(t[1]))
+
+
+def exprs():
+    leaves = st.one_of(st.just(Zero()), st.just(One()),
+                       st.sampled_from(NAMES).map(Var))
+    return st.recursive(
+        maybe_protected(leaves),
+        lambda sub: maybe_protected(st.one_of(
+            sub.map(Opp),
+            st.tuples(sub, sub).map(Sum),
+            st.tuples(sub, sub, sub).map(Prod),
+            st.tuples(sub, sub).map(lambda t: Pow(*t)),
+            st.tuples(sub, sub).map(lambda t: Mod(*t)),
+        )),
+        max_leaves=20,
+    )
+
+
+def test_equal_terms_are_one_object():
+    a, b = Var("a"), Var("b")
+    assert Var("x") is Var("x")
+    assert Sum((a, b)) is Sum((a, b))
+    assert Mod(Pow(a, Opp(One())), b) is parse_expr("a^-1 mod b")
+    assert Sum((a, b)) is not Sum((b, a))
+
+
+def test_protected_node_is_another_object():
+    assert Var("x", protected=True) is not Var("x")
+    assert Var("x", protected=True) != Var("x")
+    assert Var("x", protected=True) is Var("x").with_protected(True)
+
+
+def test_strip_protection_reaches_every_level():
+    e = parse_expr("({a} + b) * c")
+    assert e.operands[0].operands[0].protected
+    plain = Prod((Sum((Var("a"), Var("b"))), Var("c")))
+    assert e is not plain
+    assert strip_protection(e) is plain
+    assert strip_protection(plain) is plain
+    assert strip_protection(parse_expr("{a * b}")) is parse_expr("a * b")
+
+
+def test_pickle_reinterns():
+    e = parse_expr("M^{dp} mod ({p} - 1)")
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps(Var("M"))) is Var("M")
+
+
+def test_hash_survives_the_node():
+    def build():
+        return Mod(Pow(Var("unique_base"), Opp(One())), Var("unique_modulus"))
+
+    e = build()
+    first = hash(e)
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+    assert hash(build()) == first
+
+
+def test_nodes_are_immutable():
+    e = Sum((Var("a"), One()))
+    with pytest.raises(FrozenInstanceError):
+        e.operands = ()
+    with pytest.raises(FrozenInstanceError):
+        e.protected = True
+    assert e.operands == (Var("a"), One())
+
+
+def test_repr_names_the_fields():
+    assert repr(Opp(Var("x"))) == \
+        "Opp(protected=False, arg=Var(protected=False, name='x'))"
+
+
+@given(exprs())
+@settings(max_examples=300, deadline=None)
+def test_sort_key_matches_recursive_definition(e):
+    assert sort_key(e) == reference_sort_key(e)
+
+
+@given(exprs())
+@settings(max_examples=300, deadline=None)
+def test_strip_protection_matches_recursive_definition(e):
+    assert strip_protection(e) is reference_strip(e)
