@@ -1,8 +1,9 @@
 import pytest
 
 from modfault import (
-    And, Assign, DeclareNoProp, EqMod, LanguageError, Mod, Neq, NeqMod, One,
-    Opp, Or, Pow, Prod, Return, Sum, Var, parse, parse_cond, parse_expr,
+    And, Assign, DeclareNoProp, Eq, EqMod, LanguageError, Mod, Neq, NeqMod,
+    One, Opp, Or, Pow, Prod, Return, Sum, Var, Zero, parse, parse_cond,
+    parse_expr,
 )
 
 
@@ -127,3 +128,17 @@ def test_protected_definitions_in_corpus(corpus_programs):
     protected_rhs = {st.target for st in prog.statements
                      if isinstance(st, Assign) and st.rhs.protected}
     assert protected_rhs == {"dp", "dq", "iq"}
+
+
+def test_braces_protect_the_atom_they_enclose():
+    a, b, p = Var("a"), Var("b"), Var("p")
+    pa = a.with_protected(True)
+    assert parse_expr("{a} + b") == Sum((pa, b))
+    assert parse_expr("({a})") == pa
+    assert parse_expr("{a}^b") == Pow(pa, b)
+    assert parse_expr("-{a}") == Opp(pa)
+    assert parse_expr("{a} mod p") == Mod(pa, p)
+    assert parse_expr("{a + b}") == Sum((a, b)).with_protected(True)
+    c = parse_cond("{x = y} /\\ z != 0")
+    assert c == And(Eq(Var("x"), Var("y"), protected=True), Neq(Var("z"), Zero()))
+    assert c.lhs.protected and not c.protected and not c.rhs.protected
