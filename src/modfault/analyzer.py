@@ -16,7 +16,7 @@ from .faults import (
 )
 from .printer import pretty_cond, pretty_expr
 from .rewriter import Rewriter, RewriteBudgetExceeded, degenerate_moduli
-from .terms import And, Cond, Expr, Or, Program, Verify, cond_map
+from .terms import And, Cond, Expr, Or, Program, Verify
 
 DETECTED = "detected"
 HARMLESS = "harmless"
@@ -70,8 +70,7 @@ class Report:
 
 
 def bind_results(cond: Cond, nominal: Expr, faulted: Expr) -> Cond:
-    env = {NOMINAL_RESULT: nominal, FAULTED_RESULT: faulted}
-    return cond_map(cond, lambda e: subst(e, env))
+    return subst(cond, {NOMINAL_RESULT: nominal, FAULTED_RESULT: faulted})
 
 
 def _satisfied_branch(bound: Cond, template: Cond, rewriter: Rewriter) -> str:

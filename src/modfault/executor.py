@@ -18,8 +18,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from .faults import RANDOMIZING, ZEROING
 from .rewriter import Rewriter, TRUE, UNKNOWN
 from .terms import (
-    Assign, Cond, Expr, Program, Return, Var, Verify, cond_map,
-    strip_protection,
+    Assign, Cond, Expr, Program, Return, Var, Verify, strip_protection,
 )
 
 
@@ -46,7 +45,7 @@ class SymbolicRun:
 
 
 def subst(e: Expr, env: Dict[str, Expr]) -> Expr:
-    """Replace every variable bound in env."""
+    """Replace every variable bound in env, in an expression or a condition."""
     if isinstance(e, Var):
         return env.get(e.name, e)
     kids = e.children()
@@ -68,8 +67,7 @@ def inline(program: Program) -> UnrolledTerm:
         if isinstance(st, Assign):
             env[st.target] = subst(strip_protection(st.rhs), env)
         elif isinstance(st, Verify):
-            checks.append(cond_map(
-                st.condition, lambda e: subst(strip_protection(e), env)))
+            checks.append(subst(strip_protection(st.condition), env))
         elif isinstance(st, Return):
             result = subst(strip_protection(st.value), env)
     if result is None:

@@ -24,7 +24,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
     And, Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Or, Program, Return,
-    Statement, Var, Verify, ZERO, cond_exprs, cond_map, replace_at,
+    Statement, Var, Verify, ZERO, replace_at, subterm_at,
 )
 
 ZEROING = "zeroing"
@@ -84,14 +84,18 @@ def _statement_slots(st: Statement, protect_conditions: bool) -> List[Tuple[int,
     if isinstance(st, Return):
         return [(0, st.value)]
     if isinstance(st, Verify) and not (protect_conditions or st.condition.protected):
-        return list(enumerate(_cond_slots(st.condition)))
+        return [(slot, subterm_at(st.condition, path))
+                for slot, path in enumerate(_operand_paths(st.condition))]
     return []
 
 
-def _cond_slots(c: Cond) -> List[Expr]:
+def _operand_paths(c: Cond) -> List[Tuple[int, ...]]:
+    """Paths to a condition's comparison operands, left to right: a
+    verification's transient sites are numbered by slot in this list."""
     if isinstance(c, (And, Or)):
-        return _cond_slots(c.lhs) + _cond_slots(c.rhs)
-    return list(cond_exprs(c))
+        return [(i, *path) for i, sub in enumerate(c.children())
+                for path in _operand_paths(sub)]
+    return [(i,) for i in range(len(c.children()))]
 
 
 def _walk_unprotected(e: Expr, path: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Expr]]:
@@ -221,9 +225,6 @@ def _replace_in_statement(st: Statement, path: Tuple[int, ...], value: Expr) -> 
     if isinstance(st, Return):
         return Return(replace_at(st.value, rest, value))
     if isinstance(st, Verify):
-        # cond_map visits the leaves in _cond_slots order
-        slots = itertools.count()
-        condition = cond_map(st.condition, lambda e: replace_at(e, rest, value)
-                             if next(slots) == slot else e)
-        return Verify(condition, st.abort_value)
+        path = _operand_paths(st.condition)[slot] + rest
+        return Verify(replace_at(st.condition, path, value), st.abort_value)
     raise ValueError(f"transient fault on statement without expressions: {st!r}")

@@ -40,9 +40,6 @@ class ConcreteEnv:
     p: int = 0
     q: int = 0
 
-    def __getitem__(self, name: str) -> int:
-        return self.values[name]
-
     def bind(self, name: str, value: int) -> "ConcreteEnv":
         new = dict(self.values)
         new[name] = value

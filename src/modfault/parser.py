@@ -12,14 +12,13 @@ associative), ``*``, ``+``/binary ``-``, ``mod`` (loosest, left associative).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .terms import (
     And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr,
     LanguageError, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod, Program,
-    RESERVED_NAMES, Return, Statement, Sum, Var, Verify, Zero, cond_free_vars,
-    free_vars,
+    RESERVED_NAMES, Return, Statement, Sum, Var, Verify, Zero, free_vars,
 )
 
 _KEYWORDS = {"noprop", "prime", "if", "abort", "with", "return", "mod"}
@@ -150,7 +149,7 @@ class _Parser:
         tok = self.peek()
         if tok.text == "(":
             self.next()
-            e = self.parse_maybe_protected_expr()
+            e = self.parse_expr()
             self.expect(")")
             return e
         if tok.text == "{":
@@ -169,19 +168,6 @@ class _Parser:
             return Var(tok.text)
         raise self.error(f"expected an expression, found {tok.text!r}"
                          if tok.text else "unexpected end of input in expression")
-
-    def parse_maybe_protected_expr(self) -> Expr:
-        if self.peek().text == "{":
-            save = self.pos
-            self.next()
-            e = self.parse_expr()
-            self.expect("}")
-            # `{a} + b` protects only the atom: backtrack when an operator
-            # continues the expression past the closing brace
-            if self.peek().text not in ("+", "-", "*", "^", "mod"):
-                return e.with_protected(True)
-            self.pos = save
-        return self.parse_expr()
 
     # -- conditions -------------------------------------------------------
 
@@ -203,7 +189,7 @@ class _Parser:
                 inner = self.parse_cond()
                 self.expect("}")
                 if self.peek().kind in ("and", "or", "eof") or self.peek().text in (")", "abort"):
-                    return replace(inner, protected=True)
+                    return inner.with_protected(True)
             except LanguageError:
                 pass
             self.pos = save
@@ -220,16 +206,16 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> Cond:
-        lhs = self.parse_maybe_protected_expr()
+        lhs = self.parse_expr()
         tok = self.next()
         if tok.text == "=":
-            return Eq(lhs, self.parse_maybe_protected_expr())
+            return Eq(lhs, self.parse_expr())
         if tok.kind == "neq":
-            return Neq(lhs, self.parse_maybe_protected_expr())
+            return Neq(lhs, self.parse_expr())
         if tok.kind in ("eqmod", "neqmod"):
-            modulus = self.parse_maybe_protected_expr()
+            modulus = self.parse_expr()
             self.expect("]")
-            rhs = self.parse_maybe_protected_expr()
+            rhs = self.parse_expr()
             if tok.kind == "eqmod":
                 return EqMod(lhs, rhs, modulus)
             return NeqMod(lhs, rhs, modulus)
@@ -279,18 +265,18 @@ class _Parser:
             cond = self.parse_cond()
             self.expect("abort")
             self.expect("with")
-            value = self.parse_maybe_protected_expr()
+            value = self.parse_expr()
             self.expect(";", "';' after verification")
             return Verify(cond, value)
         if tok.text == "return":
             self.next()
-            value = self.parse_maybe_protected_expr()
+            value = self.parse_expr()
             self.expect(";", "';' after return")
             return Return(value)
         if tok.kind == "name":
             self.next()
             self.expect(":=", "':=' in assignment")
-            rhs = self.parse_maybe_protected_expr()
+            rhs = self.parse_expr()
             self.expect(";", "';' after assignment")
             return Assign(tok.text, rhs)
         raise self.error(f"expected a statement, found {tok.text!r}"
@@ -334,14 +320,14 @@ def _validate(program: Program) -> None:
             _check_uses(free_vars(st.rhs), declared, f"assignment to {st.target!r}")
             declared.add(st.target)
         elif isinstance(st, Verify):
-            _check_uses(cond_free_vars(st.condition), declared, "verification")
+            _check_uses(free_vars(st.condition), declared, "verification")
             _check_uses(free_vars(st.abort_value), declared, "abort value")
         elif isinstance(st, Return):
             _check_uses(free_vars(st.value), declared, "return")
             returned = True
     if not returned:
         raise LanguageError("missing 'return' statement")
-    cond_vars = cond_free_vars(program.attack_condition)
+    cond_vars = free_vars(program.attack_condition)
     _check_uses(cond_vars - set(RESERVED_NAMES), declared, "attack condition")
 
 
@@ -368,7 +354,7 @@ def parse(source: str) -> Program:
 def parse_expr(source: str) -> Expr:
     """Parse a single expression (teaching/testing helper)."""
     p = _Parser(tokenize(source))
-    e = p.parse_maybe_protected_expr()
+    e = p.parse_expr()
     if p.peek().kind != "eof":
         raise p.error("unexpected input after expression")
     return e

@@ -29,12 +29,6 @@ def _level(e: Expr) -> int:
     return _LEVEL_ATOM  # Zero, One, Var, Opp (unary minus binds tightest)
 
 
-def _wrap(e: Expr, text: str, min_level: int) -> str:
-    if _level(e) < min_level and not e.protected:
-        return f"({text})"
-    return text
-
-
 def pretty_expr(e: Expr) -> str:
     text = _render(e)
     if e.protected:
@@ -117,10 +111,10 @@ def _decl_names(names, flags) -> str:
 
 def pretty(item) -> str:
     """Render a Program, Expr or Cond back to parseable source text."""
+    if isinstance(item, Cond):  # before Expr: conditions are term nodes too
+        return pretty_cond(item)
     if isinstance(item, Expr):
         return pretty_expr(item)
-    if isinstance(item, Cond):
-        return pretty_cond(item)
     if not isinstance(item, Program):
         raise TypeError(f"cannot pretty-print {item!r}")
     lines = []

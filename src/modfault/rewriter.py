@@ -83,9 +83,17 @@ class Rewriter:
         return self._decide(c)
 
     def decide_check(self, c: Cond, fresh: FrozenSet[str]) -> str:
-        """Three-valued deciding for verification conditions."""
-        self._steps = 0
-        return self._decide_check(c, fresh)
+        """Three-valued deciding for verification conditions.
+
+        Verdicts share the normal-form memo, keyed by the condition and the
+        fault variables: one condition can be unknown with a fault variable
+        and provably true without it."""
+        key = (c, fresh)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            self._steps = 0
+            verdict = self._memo[key] = self._decide_check(c, fresh)
+        return verdict
 
     # -- normalization ------------------------------------------------------
 
@@ -145,22 +153,11 @@ class Rewriter:
             return ZERO
         if body == ONE:
             return ONE  # moduli of interest exceed 1
-        if self._crt_zero(body, modulus):
-            return ZERO
+        components = _crt_components(modulus)
+        if len(components) > 1 and all(
+                self._norm(Mod(body, g), None) == ZERO for g in components):
+            return ZERO  # Chinese remainder theorem: zero in every component
         return Mod(body, modulus)
-
-    def _crt_zero(self, body: Expr, modulus: Expr) -> bool:
-        """Chinese remainder theorem: zero modulo every coprime factor group."""
-        if not isinstance(modulus, Prod):
-            return False
-        groups = _factor_groups(modulus)
-        if len(groups) < 2:
-            return False
-        for factor, count in groups:
-            g = factor if count == 1 else Prod((factor,) * count)
-            if self._norm(Mod(body, g), None) != ZERO:
-                return False
-        return True
 
     def _mk_opp(self, a: Expr, ctx: Optional[Expr] = None) -> Expr:
         if a == ZERO:
@@ -423,14 +420,9 @@ class Rewriter:
         congruent to 1 mod r^2) must not mask a fault there."""
         a, b, m = self._normal_operands(lhs, rhs, modulus)
         difference = Sum((a, Opp(b)))
-        components: List[Expr] = [m]
-        if isinstance(m, Prod):
-            groups = _factor_groups(m)
-            if len(groups) >= 2:
-                components = [f if n == 1 else Prod((f,) * n) for f, n in groups]
         all_zero = True
         any_fires = False
-        for g in components:
+        for g in _crt_components(m):
             delta = self._norm(Mod(difference, g), None)
             if delta == ZERO:
                 continue
@@ -571,15 +563,16 @@ def _is_multiple(a: Expr, b: Expr) -> bool:
     return _covers(_factor_counter(_abs_term(a)), _factor_counter(_abs_term(b)))
 
 
-def _factor_groups(modulus: Prod) -> List[Tuple[Expr, int]]:
-    groups: List[Tuple[Expr, int]] = []
-    counts = Counter(modulus.operands)
-    seen = set()
-    for f in modulus.operands:
-        if f not in seen:
-            seen.add(f)
-            groups.append((f, counts[f]))
-    return groups
+def _crt_components(m: Expr) -> List[Expr]:
+    """The Chinese remainder split of a modulus: one component per distinct
+    factor f of a product, f^n held as the product of n copies, in order of
+    first occurrence; a modulus with fewer than two distinct factors is its
+    own single component."""
+    if isinstance(m, Prod):
+        counts = Counter(m.operands)
+        if len(counts) > 1:
+            return [f if n == 1 else Prod((f,) * n) for f, n in counts.items()]
+    return [m]
 
 
 def degenerate_moduli(e: Expr) -> bool:

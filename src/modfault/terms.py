@@ -1,22 +1,26 @@
 """Term and program data model for the fault-analysis input language.
 
 Expressions form an arithmetic term tree over Z (sums, products, powers,
-modular reduction); every node carries a ``protected`` flag set by curly
-braces in the source.  Protection only matters to fault-site enumeration:
-``executor.inline`` strips it while closing the program into terms, and
-normal forms never carry it.
+modular reduction); conditions compare two expressions, plainly or modulo a
+third, and combine with conjunction and disjunction.  Every node carries a
+``protected`` flag set by curly braces in the source.  Protection only
+matters to fault-site enumeration: ``executor.inline`` strips it while
+closing the program into terms, and normal forms never carry it.
 
-Expression nodes are interned: each distinct term, protection flag
-included, is built once and shared, so equality is identity, and the facts the
-rewriter and the executor ask of a node on every use (hash, sort key,
-protection-free twin) are computed once, when it is built.  Conditions and
-programs are frozen dataclasses over those nodes.
+Expression and condition nodes are interned: each distinct term, protection
+flag included, is built once and shared, so equality is identity, and the
+facts the rewriter and the executor ask of a node on every use (hash, sort
+key, protection-free twin) are computed once, when it is built.  A condition
+is a node whose fields are all children, so the walkers below (path access
+and replacement, traversal, free variables, protection stripping) and
+``executor.subst`` serve both.  Only statements and programs are frozen
+dataclasses over those nodes.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Tuple, Union
 
 
@@ -216,83 +220,45 @@ def free_vars(e: Expr) -> set:
 
 # --- conditions ------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
-class Cond:
-    protected: bool = field(default=False, kw_only=True)
+class Cond(Expr):
+    """Interned condition node: a comparison of expressions, or a conjunction
+    or disjunction of conditions.  Every field is a child, so the expression
+    walkers serve conditions unchanged."""
+
+    __slots__ = ()
+    _shape = "fixed"
 
 
-@dataclass(frozen=True, eq=True)
 class Eq(Cond):
-    lhs: Expr = None
-    rhs: Expr = None
+    __slots__ = _fields = ("lhs", "rhs")
+    _rank = 8
 
 
-@dataclass(frozen=True, eq=True)
 class Neq(Cond):
-    lhs: Expr = None
-    rhs: Expr = None
+    __slots__ = _fields = ("lhs", "rhs")
+    _rank = 9
 
 
-@dataclass(frozen=True, eq=True)
+# The modulus is the last child: fault-site paths number a verification's
+# operands lhs, rhs, modulus.
 class EqMod(Cond):
-    lhs: Expr = None
-    rhs: Expr = None
-    modulus: Expr = None
+    __slots__ = _fields = ("lhs", "rhs", "modulus")
+    _rank = 10
 
 
-@dataclass(frozen=True, eq=True)
 class NeqMod(Cond):
-    lhs: Expr = None
-    rhs: Expr = None
-    modulus: Expr = None
+    __slots__ = _fields = ("lhs", "rhs", "modulus")
+    _rank = 11
 
 
-@dataclass(frozen=True, eq=True)
 class And(Cond):
-    lhs: Cond = None
-    rhs: Cond = None
+    __slots__ = _fields = ("lhs", "rhs")
+    _rank = 12
 
 
-@dataclass(frozen=True, eq=True)
 class Or(Cond):
-    lhs: Cond = None
-    rhs: Cond = None
-
-
-def cond_exprs(c: Cond) -> Tuple[Expr, ...]:
-    if isinstance(c, (Eq, Neq)):
-        return (c.lhs, c.rhs)
-    if isinstance(c, (EqMod, NeqMod)):
-        return (c.lhs, c.rhs, c.modulus)
-    return ()
-
-
-def cond_map(c: Cond, f) -> Cond:
-    """Rebuild a condition with every Expr leaf transformed by f."""
-    if isinstance(c, Eq):
-        return Eq(f(c.lhs), f(c.rhs), protected=c.protected)
-    if isinstance(c, Neq):
-        return Neq(f(c.lhs), f(c.rhs), protected=c.protected)
-    if isinstance(c, EqMod):
-        return EqMod(f(c.lhs), f(c.rhs), f(c.modulus), protected=c.protected)
-    if isinstance(c, NeqMod):
-        return NeqMod(f(c.lhs), f(c.rhs), f(c.modulus), protected=c.protected)
-    if isinstance(c, And):
-        return And(cond_map(c.lhs, f), cond_map(c.rhs, f), protected=c.protected)
-    if isinstance(c, Or):
-        return Or(cond_map(c.lhs, f), cond_map(c.rhs, f), protected=c.protected)
-    raise TypeError(f"not a condition: {c!r}")
-
-
-def cond_free_vars(c: Cond) -> set:
-    out = set()
-    if isinstance(c, (And, Or)):
-        out |= cond_free_vars(c.lhs)
-        out |= cond_free_vars(c.rhs)
-    else:
-        for e in cond_exprs(c):
-            out |= free_vars(e)
-    return out
+    __slots__ = _fields = ("lhs", "rhs")
+    _rank = 13
 
 
 # --- statements and programs ------------------------------------------------

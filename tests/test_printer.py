@@ -91,3 +91,9 @@ def test_protection_braces_reproduced():
     text = pretty(parse(src))
     assert "{e^-1 mod p - 1}" in text or "{ e^-1 mod (p-1) }" in text
     assert "prime {p} ;" in text
+
+
+def test_pretty_renders_conditions():
+    from modfault import parse_cond
+    source = "{S =[p] Sp} /\\ _ != @"
+    assert pretty(parse_cond(source)) == source

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from modfault import (
     EqMod, Mod, Neq, NeqMod, One, Opp, Pow, Prod, RewriteBudget,
-    RewriteBudgetExceeded, Rewriter, Sum, Var, Zero, Eq, parse_expr,
+    RewriteBudgetExceeded, Rewriter, Sum, Var, Zero, Eq, parse_cond,
+    parse_expr,
 )
 from modfault.oracle import ConcreteEnv, eval_expr
+from modfault.rewriter import TRUE, UNKNOWN
 
 V = Var
 pe = parse_expr
@@ -185,6 +187,26 @@ def test_equal_residues_same_modulus(rw):
     b = pe("x mod N")
     assert rw.decide(Eq(a, b)) is True
     assert rw.decide(Neq(a, b)) is False
+
+
+def test_conditions_are_not_normalized(rw):
+    with pytest.raises(TypeError, match="not an expression"):
+        rw.normalize(Eq(V("x"), V("y")))
+
+
+@pytest.mark.parametrize("order", [(True, False), (False, True)])
+def test_check_verdicts_are_memoized_per_fault_variable_set(order):
+    # A fault variable under a power with a cofactor may be annihilated for
+    # corner-case inputs (unknown); without it the residual is a structural
+    # deviation (the inequality holds).  One rewriter must give both,
+    # whichever it decides first.
+    rw = Rewriter()
+    c = parse_cond("a * f1^e !=[N] a * b^e")
+    expected = {True: UNKNOWN, False: TRUE}
+    for faulted in order:
+        fresh = frozenset({"f1"}) if faulted else frozenset()
+        assert rw.decide_check(c, fresh) == expected[faulted]
+    assert rw.decide_check(c, frozenset({"f1"})) == UNKNOWN
 
 
 # -- property suites -----------------------------------------------------------

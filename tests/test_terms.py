@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfault import Mod, One, Opp, Pow, Prod, Sum, Var, Zero, parse_expr
-from modfault.terms import sort_key, strip_protection
+from modfault import (
+    And, Eq, EqMod, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod, Sum, Var, Zero,
+    parse_cond, parse_expr,
+)
+from modfault.terms import free_vars, sort_key, strip_protection, walk
 
 NAMES = ("a", "b", "p", "q", "M", "x_1")
 
@@ -118,3 +121,84 @@ def test_sort_key_matches_recursive_definition(e):
 @settings(max_examples=300, deadline=None)
 def test_strip_protection_matches_recursive_definition(e):
     assert strip_protection(e) is reference_strip(e)
+
+
+# -- conditions ----------------------------------------------------------------
+
+# The condition walker that the shared term walkers replaced, kept as the
+# reference.
+def reference_cond_free_vars(c):
+    out = set()
+    if isinstance(c, (And, Or)):
+        out |= reference_cond_free_vars(c.lhs)
+        out |= reference_cond_free_vars(c.rhs)
+    else:
+        operands = (c.lhs, c.rhs)
+        if isinstance(c, (EqMod, NeqMod)):
+            operands += (c.modulus,)
+        for e in operands:
+            out |= free_vars(e)
+    return out
+
+
+def conds():
+    comparisons = st.one_of(
+        st.tuples(exprs(), exprs()).map(lambda t: Eq(*t)),
+        st.tuples(exprs(), exprs()).map(lambda t: Neq(*t)),
+        st.tuples(exprs(), exprs(), exprs()).map(lambda t: EqMod(*t)),
+        st.tuples(exprs(), exprs(), exprs()).map(lambda t: NeqMod(*t)),
+    )
+    return st.recursive(
+        maybe_protected(comparisons),
+        lambda sub: maybe_protected(st.one_of(
+            st.tuples(sub, sub).map(lambda t: And(*t)),
+            st.tuples(sub, sub).map(lambda t: Or(*t)),
+        )),
+        max_leaves=4,
+    )
+
+
+def test_equal_conditions_are_one_object():
+    a, b = Var("a"), Var("b")
+    assert Eq(a, b) is Eq(a, b)
+    assert Eq(a, b) is not Neq(a, b)
+    assert Eq(a, b) is not Eq(b, a)
+    assert parse_cond("a =[N] b /\\ a != 0") is \
+        And(EqMod(a, b, Var("N")), Neq(a, Zero()))
+
+
+def test_protected_condition_is_another_object():
+    c = parse_cond("{a = {b}} \\/ c != 1")
+    guarded = c.lhs
+    assert guarded.protected and guarded.rhs.protected
+    assert guarded is not Eq(Var("a"), Var("b").with_protected(True))
+    assert guarded is Eq(Var("a"), Var("b").with_protected(True), protected=True)
+    plain = Or(Eq(Var("a"), Var("b")), Neq(Var("c"), One()))
+    assert strip_protection(c) is plain
+    assert not any(n.protected for n in walk(strip_protection(c)))
+
+
+def test_pickle_reinterns_conditions():
+    c = parse_cond("{S =[p] Sp} /\\ _ !=[{q}] @")
+    assert pickle.loads(pickle.dumps(c)) is c
+
+
+def test_conditions_are_immutable():
+    c = Eq(Var("a"), Var("b"))
+    with pytest.raises(FrozenInstanceError):
+        c.lhs = Var("b")
+    with pytest.raises(FrozenInstanceError):
+        c.protected = True
+    assert c.lhs is Var("a")
+
+
+@given(conds())
+@settings(max_examples=300, deadline=None)
+def test_condition_free_vars_match_the_condition_walker(c):
+    assert free_vars(c) == reference_cond_free_vars(c)
+
+
+@given(conds())
+@settings(max_examples=100, deadline=None)
+def test_condition_strip_protection_matches_recursive_definition(c):
+    assert strip_protection(c) is reference_strip(c)
