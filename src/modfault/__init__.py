@@ -11,10 +11,13 @@ from .analyzer import (
     ATTACK, DETECTED, FAILURE, HARMLESS, AnalysisError, Outcome, Report,
     analyze, classify, nominal_run, removed_check_variants,
 )
-from .executor import SymbolicRun, UnrolledTerm, inline, run_symbolic
+from .executor import (
+    ClosedProgram, SymbolicRun, UnrolledTerm, inline, run_symbolic,
+)
 from .faults import (
-    EnumerationCapExceeded, Fault, FaultConfig, FaultSite, RANDOMIZING,
-    ZEROING, count_vectors, enumerate_sites, enumerate_vectors, inject,
+    EnumerationCapExceeded, Fault, FaultConfig, FaultSite, Injection,
+    RANDOMIZING, ZEROING, count_vectors, enumerate_sites, enumerate_vectors,
+    inject,
 )
 from .oracle import (
     ConcreteEnv, OracleError, check_soundness, eval_expr, eval_program,

@@ -9,7 +9,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .executor import SymbolicRun, inline, run_symbolic, subst
+from .executor import ClosedProgram, SymbolicRun, run_symbolic, subst
+# Unused here, but kept bound: the benchmark's tracer patches this name.
+from .executor import inline  # noqa: F401
 from .faults import (
     FaultConfig, FaultVector, enumerate_sites, enumerate_vectors,
     fresh_name_base, inject,
@@ -107,15 +109,12 @@ def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
     return Outcome(HARMLESS, warnings=warnings)
 
 
-def _analyze_vector(program: Program, vector: FaultVector, nominal: SymbolicRun,
+def _analyze_vector(closed: ClosedProgram, vector: FaultVector, nominal: SymbolicRun,
                     rewriter: Rewriter) -> Outcome:
-    check_faults = {f.site.check: f.kind for f in vector if f.site.scope == "check"}
-    fresh = frozenset(f.fresh_name for f in vector
-                      if f.fresh_name and f.site.scope != "check")
+    program = closed.program
     try:
-        faulted_program = inject(program, vector)
-        unrolled = inline(faulted_program)
-        run = run_symbolic(unrolled, rewriter, fresh, check_faults)
+        faults = inject(program, vector)
+        run = run_symbolic(closed, rewriter, faults)
         return classify(nominal, run, program.attack_condition, rewriter)
     except RewriteBudgetExceeded as err:
         return Outcome(FAILURE, error=str(err))
@@ -127,19 +126,20 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(program: Program, nominal: SymbolicRun, primes: frozenset):
-    _WORKER_STATE["program"] = program
+    _WORKER_STATE["closed"] = ClosedProgram(program)
     _WORKER_STATE["nominal"] = nominal
     _WORKER_STATE["rewriter"] = Rewriter(primes=primes)
 
 
 def _worker(vector: FaultVector) -> Outcome:
-    return _analyze_vector(_WORKER_STATE["program"], vector,
+    return _analyze_vector(_WORKER_STATE["closed"], vector,
                            _WORKER_STATE["nominal"], _WORKER_STATE["rewriter"])
 
 
-def nominal_run(program: Program, rewriter: Optional[Rewriter] = None) -> SymbolicRun:
-    rewriter = rewriter or Rewriter(primes=program.prime_names())
-    run = run_symbolic(inline(program), rewriter, frozenset())
+def nominal_run(closed: ClosedProgram, rewriter: Optional[Rewriter] = None) -> SymbolicRun:
+    """The fault-free run of a closed program, which must complete."""
+    rewriter = rewriter or Rewriter(primes=closed.program.prime_names())
+    run = run_symbolic(closed, rewriter)
     if not run.completed:
         raise AnalysisError(
             f"nominal run detected by verification {run.detected_by}; "
@@ -152,7 +152,8 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
     """Simulate every fault vector of the model and classify each outcome."""
     start = time.monotonic()
     rewriter = Rewriter(primes=program.prime_names())
-    nominal = nominal_run(program, rewriter)
+    closed = ClosedProgram(program)
+    nominal = nominal_run(closed, rewriter)
     sites = enumerate_sites(program, cfg)
     vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
     if jobs > 1 and len(vectors) > 1:
@@ -161,7 +162,7 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
                 initargs=(program, nominal, program.prime_names())) as pool:
             outcomes = pool.map(_worker, vectors, chunksize=64)
     else:
-        outcomes = [_analyze_vector(program, v, nominal, rewriter) for v in vectors]
+        outcomes = [_analyze_vector(closed, v, nominal, rewriter) for v in vectors]
     results = tuple(zip(vectors, outcomes))
     duration_ms = (time.monotonic() - start) * 1000.0
     return Report(

@@ -5,8 +5,13 @@ scope): permanent faults corrupt a stored value, so every later read sees the
 corruption; transient faults corrupt a single read.  Either kind forces the
 value to zero or to a fresh variable with no properties.  Verification
 conditions can additionally have their comparison outcome faulted: zeroed, it
-skips the abort; randomized, it always fires it.  Such check faults leave the
-program untouched; ``executor.run_symbolic`` applies them as an overlay.
+skips the abort; randomized, it always fires it.
+
+``inject`` never rebuilds the program: it returns the vector as an overlay
+(data faults by statement, check-outcome faults by check index, fresh
+names), and ``apply_faults`` gives one statement's term under its data
+faults.  ``executor.run_symbolic`` and ``oracle.eval_program`` apply the
+overlay while they walk the program.
 
 Protected source regions (curly braces) contribute no sites: a protected
 declaration or a wholly protected right-hand side models an input that the
@@ -20,7 +25,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
     And, Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Or, Program, Return,
@@ -83,10 +88,23 @@ def _statement_slots(st: Statement, protect_conditions: bool) -> List[Tuple[int,
         return [(0, st.rhs)]
     if isinstance(st, Return):
         return [(0, st.value)]
-    if isinstance(st, Verify) and not (protect_conditions or st.condition.protected):
+    if isinstance(st, Verify) and not protect_conditions:
         return [(slot, subterm_at(st.condition, path))
-                for slot, path in enumerate(_operand_paths(st.condition))]
+                for slot, path in enumerate(_operand_paths(st.condition))
+                if not _crosses_protection(st.condition, path)]
     return []
+
+
+def _crosses_protection(e: Expr, path: Tuple[int, ...]) -> bool:
+    """Whether a node on the path down from ``e``, ``e`` included, is
+    protected: the operands of a protected sub-condition are not faultable."""
+    if e.protected:
+        return True
+    for i in path:
+        e = e.children()[i]
+        if e.protected:
+            return True
+    return False
 
 
 def _operand_paths(c: Cond) -> List[Tuple[int, ...]]:
@@ -163,68 +181,66 @@ def enumerate_vectors(sites: Sequence[FaultSite], cfg: FaultConfig,
                     for i, kind in zip(combo, assignment))
 
 
-def inject(program: Program, vector: FaultVector) -> Program:
-    """Apply a fault vector, returning a new program; the input is untouched.
+@dataclass(frozen=True)
+class Injection:
+    """A fault vector as an overlay on a program, which stays untouched.
 
-    Faults on a check outcome are not applied here: ``run_symbolic`` takes
-    them as an overlay."""
-    statements: List[Statement] = list(program.statements)
-    declared_permanents: List[Fault] = []
-    fresh_names = [f.fresh_name for f in vector
-                   if f.fresh_name and f.site.scope != "check"]
+    ``data`` holds each statement's data faults (permanent and transient),
+    keyed by statement index; ``checks`` the kind of each fault on a
+    verification's outcome, keyed by check index; ``fresh`` the fault
+    variables the data faults introduce.  ``executor.run_symbolic`` and
+    ``oracle.eval_program`` apply it statement by statement."""
+    program: Program
+    data: Dict[int, Tuple[Fault, ...]]
+    checks: Dict[int, str]
+    fresh: FrozenSet[str]
 
-    # Deepest transient reads first, then whole-value permanents: when sites
-    # overlap, the corruption closest to the stored value is applied before
-    # the one that overwrites it (last write wins).
-    def _apply_order(fault: Fault):
-        if fault.site.scope == "transient":
-            return (0, -len(fault.site.path))
-        return (1, 0)
 
-    for fault in sorted(vector, key=_apply_order):
+def inject(program: Program, vector: FaultVector) -> Injection:
+    """The overlay of a fault vector on a program."""
+    data: Dict[int, Tuple[Fault, ...]] = {}
+    checks: Dict[int, str] = {}
+    for fault in vector:
         site = fault.site
         if site.scope == "check":
-            continue
-        st = statements[site.statement]
-        value = ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
-        if site.scope == "transient":
-            statements[site.statement] = _replace_in_statement(st, site.path, value)
-        elif site.scope == "permanent":
-            if isinstance(st, Assign):
-                statements[site.statement] = Assign(st.target, value)
-            else:
-                declared_permanents.append(fault)
+            checks[site.check] = fault.kind
+        elif site.scope in ("permanent", "transient"):
+            data[site.statement] = data.get(site.statement, ()) + (fault,)
         else:
             raise ValueError(f"unknown fault scope: {site.scope}")
+    fresh = frozenset(f.fresh_name for f in vector
+                      if f.fresh_name and f.site.scope != "check")
+    return Injection(program, data, checks, fresh)
 
-    out: List[Statement] = []
-    if fresh_names:
-        out.append(DeclareNoProp(tuple(fresh_names), (False,) * len(fresh_names)))
-    for idx, st in enumerate(statements):
-        faults_here = [f for f in declared_permanents if f.site.statement == idx]
-        if not faults_here:
-            out.append(st)
+
+def fault_value(fault: Fault) -> Expr:
+    """The value a data fault forces: zero or its fresh variable."""
+    return ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
+
+
+def _apply_order(fault: Fault):
+    if fault.site.scope == "transient":
+        return (0, -len(fault.site.path))
+    return (1, 0)
+
+
+def apply_faults(term: Expr, faults: Sequence[Fault]) -> Expr:
+    """The term a statement computes under its own data faults.
+
+    ``term`` is the statement's right-hand side, returned value or
+    verification condition.  Deepest transient reads go first, then a
+    permanent overwrite of the whole stored value: when sites overlap, the
+    corruption closest to the stored value is applied before the one that
+    overwrites it (last write wins).  A verification's transient slots number
+    its comparison operands (``_operand_paths``)."""
+    out = term
+    for fault in sorted(faults, key=_apply_order):
+        value = fault_value(fault)
+        if fault.site.scope == "permanent":
+            out = value
             continue
-        faulted = {f.site.variable: f for f in faults_here}
-        names = tuple(n for n in st.names if n not in faulted)
-        flags = tuple(fl for n, fl in zip(st.names, st.protected_flags) if n not in faulted)
-        if names:
-            out.append(type(st)(names, flags))
-        for name in st.names:
-            f = faulted.get(name)
-            if f is not None:
-                value = ZERO if f.kind == ZEROING else Var(f.fresh_name)
-                out.append(Assign(name, value))
-    return Program(tuple(out), program.attack_condition)
-
-
-def _replace_in_statement(st: Statement, path: Tuple[int, ...], value: Expr) -> Statement:
-    slot, rest = path[0], path[1:]
-    if isinstance(st, Assign):
-        return Assign(st.target, replace_at(st.rhs, rest, value))
-    if isinstance(st, Return):
-        return Return(replace_at(st.value, rest, value))
-    if isinstance(st, Verify):
-        path = _operand_paths(st.condition)[slot] + rest
-        return Verify(replace_at(st.condition, path, value), st.abort_value)
-    raise ValueError(f"transient fault on statement without expressions: {st!r}")
+        slot, rest = fault.site.path[0], fault.site.path[1:]
+        if isinstance(term, Cond):
+            rest = _operand_paths(term)[slot] + rest
+        out = replace_at(out, rest, value)
+    return out

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .executor import inline
+from .faults import Injection, RANDOMIZING, apply_faults, fault_value, inject
 from .rewriter import Rewriter
 from .terms import (
     And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr, Mod,
@@ -215,19 +216,28 @@ def eval_cond(c: Cond, env: ConcreteEnv) -> bool:
     raise TypeError(f"not a condition: {c!r}")
 
 
-def eval_program(program: Program, env: ConcreteEnv):
-    """Sequential interpretation; returns ("ok", value) or ("error", check #)."""
+def eval_program(target: Union[Program, Injection], env: ConcreteEnv):
+    """Sequential interpretation of a program, or of the run a fault overlay
+    gives; returns ("ok", value) or ("error", check #).  Fresh fault
+    variables must be bound in ``env``."""
+    faults = target if isinstance(target, Injection) else inject(target, ())
     env = ConcreteEnv(dict(env.values), env.p, env.q)
     check_index = 0
-    for st in program.statements:
-        if isinstance(st, Assign):
-            env.values[st.target] = eval_expr(st.rhs, env)
+    for index, st in enumerate(faults.program.statements):
+        here = faults.data.get(index, ())
+        if isinstance(st, (DeclareNoProp, DeclarePrime)):
+            for fault in here:
+                env.values[fault.site.variable] = eval_expr(fault_value(fault), env)
+        elif isinstance(st, Assign):
+            env.values[st.target] = eval_expr(apply_faults(st.rhs, here), env)
         elif isinstance(st, Verify):
-            if eval_cond(st.condition, env):
+            kind = faults.checks.get(check_index)
+            if kind == RANDOMIZING or (
+                    kind is None and eval_cond(apply_faults(st.condition, here), env)):
                 return ("error", check_index)
             check_index += 1
         elif isinstance(st, Return):
-            return ("ok", eval_expr(st.value, env))
+            return ("ok", eval_expr(apply_faults(st.value, here), env))
     raise OracleError("program has no return statement")
 
 

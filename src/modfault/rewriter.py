@@ -9,8 +9,8 @@ identity (1+x)^d = 1+d*x (mod x^2).  Distributivity is deliberately absent
 (it is not confluent), so syntactically different normal forms denote
 generically different values.
 
-Terms arrive without protection flags: ``executor.inline`` is the one place
-that strips them.  Normal forms never carry the flag either way, because
+Terms arrive without protection flags: ``executor.ClosedProgram`` is the one
+place that strips them.  Normal forms never carry the flag either way, because
 ``_norm`` rebuilds every node it returns and drops the flag on variables.
 
 A modulus that normalizes to zero makes the reduction inert: ``Mod(x, 0)``

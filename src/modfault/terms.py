@@ -4,7 +4,7 @@ Expressions form an arithmetic term tree over Z (sums, products, powers,
 modular reduction); conditions compare two expressions, plainly or modulo a
 third, and combine with conjunction and disjunction.  Every node carries a
 ``protected`` flag set by curly braces in the source.  Protection only
-matters to fault-site enumeration: ``executor.inline`` strips it while
+matters to fault-site enumeration: ``executor.ClosedProgram`` strips it while
 closing the program into terms, and normal forms never carry it.
 
 Expression and condition nodes are interned: each distinct term, protection

@@ -6,8 +6,8 @@ import random
 import time
 
 from modfault import (
-    ATTACK, FaultConfig, Mod, One, Opp, Pow, Prod, RANDOMIZING, Rewriter,
-    Sum, Var, Zero, analyze, inline, parse_expr, run_symbolic,
+    ATTACK, ClosedProgram, FaultConfig, Mod, One, Opp, Pow, Prod, RANDOMIZING,
+    Rewriter, Sum, Var, Zero, analyze, parse_expr, run_symbolic,
 )
 from modfault.analyzer import removed_check_variants
 from modfault.cli import main as cli_main
@@ -182,7 +182,7 @@ def test_criterion_9_property_suites(corpus_programs):
 
     nominal_ok = True
     for prog in corpus_programs.values():
-        run = run_symbolic(inline(prog), Rewriter(primes=prog.prime_names()))
+        run = run_symbolic(ClosedProgram(prog), Rewriter(primes=prog.prime_names()))
         nominal_ok = nominal_ok and run.completed
 
     ok = idempotent and oracle_ok and nominal_ok

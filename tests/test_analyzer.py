@@ -1,8 +1,8 @@
 import pytest
 
 from modfault import (
-    ATTACK, DETECTED, FAILURE, HARMLESS, FaultConfig, Rewriter, analyze,
-    classify, count_vectors, enumerate_sites, nominal_run, parse,
+    ATTACK, DETECTED, FAILURE, HARMLESS, ClosedProgram, FaultConfig, Rewriter,
+    analyze, classify, count_vectors, enumerate_sites, nominal_run, parse,
 )
 from modfault.analyzer import removed_check_variants
 from modfault.executor import SymbolicRun
@@ -18,7 +18,7 @@ def _attack_sites(report):
 def test_identical_runs_are_harmless(corpus_programs):
     prog = corpus_programs["unprotected"]
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(prog, rw)
+    nominal = nominal_run(ClosedProgram(prog), rw)
     same = SymbolicRun(None, nominal.normal_form)
     outcome = classify(nominal, same, prog.attack_condition, rw)
     assert outcome.kind == HARMLESS  # `_ != @` fails on equal results
@@ -27,7 +27,7 @@ def test_identical_runs_are_harmless(corpus_programs):
 def test_detected_beats_condition(corpus_programs):
     prog = corpus_programs["unprotected"]
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(prog, rw)
+    nominal = nominal_run(ClosedProgram(prog), rw)
     aborted = SymbolicRun(2, None)
     outcome = classify(nominal, aborted, prog.attack_condition, rw)
     assert outcome.kind == DETECTED and outcome.detected_by == 2
@@ -63,9 +63,9 @@ def test_coherent_blinding_fault_is_harmless(corpus_programs):
                   if getattr(st, "names", None) and "r" in st.names)
     vec = (Fault(FaultSite("permanent", r_decl, variable="r"), RANDOMIZING, "f1"),)
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(prog, rw)
+    nominal = nominal_run(ClosedProgram(prog), rw)
     from modfault.analyzer import _analyze_vector
-    outcome = _analyze_vector(prog, vec, nominal, rw)
+    outcome = _analyze_vector(ClosedProgram(prog), vec, nominal, rw)
     assert outcome.kind == HARMLESS
 
 
@@ -76,9 +76,9 @@ def test_degenerate_modulus_warning(corpus_programs):
                   if getattr(st, "target", None) == "N")
     vec = (Fault(FaultSite("permanent", n_stmt, variable="N"), ZEROING),)
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(prog, rw)
+    nominal = nominal_run(ClosedProgram(prog), rw)
     from modfault.analyzer import _analyze_vector
-    outcome = _analyze_vector(prog, vec, nominal, rw)
+    outcome = _analyze_vector(ClosedProgram(prog), vec, nominal, rw)
     assert outcome.kind == HARMLESS
     assert any("degenerate" in w for w in outcome.warnings)
 

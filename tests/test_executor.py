@@ -1,5 +1,6 @@
 from modfault import (
-    Mod, Opp, Pow, Rewriter, Sum, Var, Zero, inline, parse, run_symbolic,
+    ClosedProgram, Mod, Opp, Pow, Rewriter, Sum, Var, Zero, inline, parse,
+    run_symbolic,
 )
 from modfault.oracle import eval_expr, eval_program, instantiate
 
@@ -50,14 +51,14 @@ def test_checks_in_listing_order(corpus_programs):
 def test_nominal_safety(corpus_programs):
     for name, prog in corpus_programs.items():
         rw = Rewriter(primes=prog.prime_names())
-        run = run_symbolic(inline(prog), rw)
+        run = run_symbolic(ClosedProgram(prog), rw)
         assert run.completed, f"{name} aborted nominally at {run.detected_by}"
         assert run.warnings == (), f"{name} left unproven nominal checks"
 
 
 def test_empty_checks_completed():
     p = parse("noprop x ; return 0 ; _ != @")
-    run = run_symbolic(inline(p), Rewriter())
+    run = run_symbolic(ClosedProgram(p), Rewriter())
     assert run.completed and run.normal_form == Zero()
 
 
@@ -69,7 +70,7 @@ def test_detection_reports_first_check(corpus_programs):
                    if getattr(st, "target", None) == "Mp")
     vec = (Fault(FaultSite("permanent", mp_stmt, variable="Mp"), ZEROING),)
     rw = Rewriter(primes=prog.prime_names())
-    run = run_symbolic(inline(inject(prog, vec)), rw)
+    run = run_symbolic(ClosedProgram(prog), rw, inject(prog, vec))
     assert run.detected_by == 0
 
 

@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from modfault import (
-    EnumerationCapExceeded, FaultConfig, RANDOMIZING, Rewriter, ZEROING,
-    count_vectors, enumerate_sites, enumerate_vectors, inject, nominal_run,
-    parse,
+    ClosedProgram, EnumerationCapExceeded, FaultConfig, RANDOMIZING, Rewriter,
+    ZEROING, count_vectors, enumerate_sites, enumerate_vectors, inject, inline,
+    nominal_run, parse,
 )
 from modfault.analyzer import _analyze_vector
-from modfault.faults import Fault, FaultSite, fresh_name_base
-from modfault.terms import Verify, walk, subterm_at
+from modfault.faults import Fault, FaultSite, apply_faults, fresh_name_base
+from modfault.oracle import eval_program, instantiate
+from modfault.terms import Prod, Var, Verify, Zero, free_vars, subterm_at, walk
 
 
 def _permanent_vars(sites):
@@ -99,14 +100,14 @@ def test_enumeration_cap():
         list(enumerate_vectors(sites, cfg))
 
 
-def test_inject_is_non_destructive(corpus_programs):
+def test_inject_is_non_destructive(corpus_programs, corpus_sources):
     prog = corpus_programs["unprotected"]
-    before = prog
     sites = enumerate_sites(prog, FaultConfig())
     for vector in itertools.islice(
             enumerate_vectors(sites, FaultConfig(max_faults=1)), 20):
-        inject(prog, vector)
-    assert prog == before
+        # an overlay on the program itself: no faulted program is built
+        assert inject(prog, vector).program is prog
+    assert prog == parse(corpus_sources["unprotected"])
 
 
 def test_permanent_randomizing_rewrites_definition(corpus_programs):
@@ -115,24 +116,23 @@ def test_permanent_randomizing_rewrites_definition(corpus_programs):
                    if getattr(st, "target", None) == "Sp")
     vec = (Fault(FaultSite("permanent", sp_stmt, variable="Sp"),
                  RANDOMIZING, "f1"),)
-    faulted = inject(prog, vec)
-    from modfault.terms import Assign, Var
-    assign = next(st for st in faulted.statements
-                  if isinstance(st, Assign) and st.target == "Sp")
-    assert assign.rhs == Var("f1")
-    assert "f1" in faulted.declared_names()
+    faults = inject(prog, vec)
+    assert faults.data == {sp_stmt: vec}
+    # Sp closes to the fresh variable, which every later read sees
+    assert apply_faults(prog.statements[sp_stmt].rhs, faults.data[sp_stmt]) == Var("f1")
+    assert "f1" in faults.fresh
+    assert "f1" in free_vars(inline(faults).result)
 
 
 def test_permanent_on_declaration_becomes_assignment(corpus_programs):
     prog = corpus_programs["unprotected"]
     vec = (Fault(FaultSite("permanent", 0, variable="M"), RANDOMIZING, "f1"),)
-    faulted = inject(prog, vec)
-    from modfault.terms import Assign, DeclareNoProp, Var
-    assert any(isinstance(st, Assign) and st.target == "M"
-               and st.rhs == Var("f1") for st in faulted.statements)
-    decls = [n for st in faulted.statements if isinstance(st, DeclareNoProp)
-             for n in st.names]
-    assert decls.count("M") == 0 and "f1" in decls
+    faults = inject(prog, vec)
+    assert faults.data == {0: vec} and faults.fresh == {"f1"}
+    # every read of M sees the fresh variable instead
+    result = free_vars(inline(faults).result)
+    assert "M" in free_vars(inline(prog).result)
+    assert "M" not in result and "f1" in result
 
 
 def test_transient_zero_replaces_single_occurrence(corpus_programs):
@@ -140,19 +140,20 @@ def test_transient_zero_replaces_single_occurrence(corpus_programs):
     n_stmt = next(i for i, st in enumerate(prog.statements)
                   if getattr(st, "target", None) == "N")
     vec = (Fault(FaultSite("transient", n_stmt, path=(0, 0)), ZEROING),)
-    faulted = inject(prog, vec)
-    from modfault.terms import Prod, Var, Zero
-    assert faulted.statements[n_stmt].rhs == Prod((Zero(), Var("q")))
+    faults = inject(prog, vec)
+    assert apply_faults(prog.statements[n_stmt].rhs, faults.data[n_stmt]) \
+        == Prod((Zero(), Var("q")))
     # every other statement untouched
-    for i, (a, b) in enumerate(zip(prog.statements, faulted.statements)):
-        if i != n_stmt:
-            assert a == b
+    assert list(faults.data) == [n_stmt]
+    assert faults.fresh == frozenset()
 
 
 def test_check_fault_is_a_run_overlay(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
+    closed = ClosedProgram(prog)
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(prog, rw)
+    nominal = nominal_run(closed, rw)
+    env = instantiate(prog, seed=1)
     check_sites = [s for s in enumerate_sites(prog, FaultConfig())
                    if s.scope == "check"]
     assert [s.check for s in check_sites] == list(range(7))
@@ -160,15 +161,27 @@ def test_check_fault_is_a_run_overlay(corpus_programs):
         k = site.check
         zero = (Fault(site, ZEROING),)
         rand = (Fault(site, RANDOMIZING, "f1"),)
-        # the program keeps every verification as written
-        assert inject(prog, zero).verifications() == prog.verifications()
-        assert inject(prog, rand).verifications() == prog.verifications()
-        # nor declares a fresh name for the randomized outcome
-        assert inject(prog, rand) == prog
-        skipped = _analyze_vector(prog, zero, nominal, rw)
+        for vector in (zero, rand):
+            faults = inject(prog, vector)
+            # no data fault, and no fresh name for a randomized outcome
+            assert faults.data == {} and faults.fresh == frozenset()
+            assert faults.checks == {k: vector[0].kind}
+        skipped = _analyze_vector(closed, zero, nominal, rw)
         assert skipped.detected_by is None
         assert f"check {k} skipped by a zeroed condition" in skipped.warnings
-        assert _analyze_vector(prog, rand, nominal, rw).detected_by == k
+        assert _analyze_vector(closed, rand, nominal, rw).detected_by == k
+        # the numeric run honours the same overlay
+        assert eval_program(inject(prog, zero), env) == eval_program(prog, env)
+        assert eval_program(inject(prog, rand), env) == ("error", k)
+
+
+def test_protected_sub_condition_has_no_transient_sites():
+    p = parse("noprop x, y, z ; if {x = y} /\\ z != 0 abort with 0 ; return x ; _ != @")
+    sites = enumerate_sites(p, FaultConfig())
+    # slots 0 and 1 are x and y inside the braces; slot numbers stay put
+    assert {s.path for s in sites if s.scope == "transient" and s.statement == 1} \
+        == {(2,), (3,)}
+    assert [s.check for s in sites if s.scope == "check"] == [0]
 
 
 def test_fresh_base_avoids_collisions():

@@ -117,7 +117,7 @@ def test_gcd_case_analysis():
 
 def test_symbolic_and_numeric_agree_on_faulted_runs(corpus_programs):
     # faulted normal forms evaluate to the faulted numeric result once the
-    # fresh fault variable is bound
+    # fresh fault variable is bound; both runs read the same fault overlay
     from modfault import FaultConfig, enumerate_sites, enumerate_vectors, inject
     from modfault.executor import inline
     prog = corpus_programs["unprotected"]
@@ -126,8 +126,8 @@ def test_symbolic_and_numeric_agree_on_faulted_runs(corpus_programs):
     sites = enumerate_sites(prog, cfg)
     checked = 0
     for vector in enumerate_vectors(sites, cfg):
-        faulted = inject(prog, vector)
-        unrolled = inline(faulted)
+        faults = inject(prog, vector)
+        unrolled = inline(faults)
         normal = rw.normalize(unrolled.result)
         for seed in range(3):
             env = instantiate(prog, seed=100 + seed)
@@ -135,7 +135,7 @@ def test_symbolic_and_numeric_agree_on_faulted_runs(corpus_programs):
                 if f.fresh_name:
                     env = env.bind(f.fresh_name, 3 + seed)
             try:
-                status, value = eval_program(faulted, env)
+                status, value = eval_program(faults, env)
             except OracleError:
                 continue  # the fault made an inverse undefined: nothing to compare
             assert status == "ok"  # no checks in the unprotected program
