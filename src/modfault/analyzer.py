@@ -9,11 +9,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .executor import ClosedProgram, SymbolicRun, run_symbolic, subst
+from .executor import ClosedProgram, SymbolicRun, WalkState, run_symbolic, subst
 # Unused here, but kept bound: the benchmark's tracer patches this name.
 from .executor import inline  # noqa: F401
 from .faults import (
-    FaultConfig, FaultVector, enumerate_sites, enumerate_vectors,
+    FaultConfig, FaultVector, Injection, enumerate_sites, enumerate_vectors,
     fresh_name_base, inject,
 )
 from .printer import pretty_cond, pretty_expr
@@ -109,15 +109,63 @@ def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
     return Outcome(HARMLESS, warnings=warnings)
 
 
-def _analyze_vector(closed: ClosedProgram, vector: FaultVector, nominal: SymbolicRun,
-                    rewriter: Rewriter) -> Outcome:
-    program = closed.program
-    try:
-        faults = inject(program, vector)
-        run = run_symbolic(closed, rewriter, faults)
-        return classify(nominal, run, program.attack_condition, rewriter)
-    except RewriteBudgetExceeded as err:
-        return Outcome(FAILURE, error=str(err))
+class _PrefixTree:
+    """The fault vectors of one analysis as a prefix tree over one walker.
+
+    A vector's run is its prefix's run (the vector without its last fault)
+    up to the step of that last fault, at position p; the empty prefix is
+    the nominal run.  A run resumes in front of p from the trail its prefix
+    recorded, under all of the vector's faults.  When the prefix's run ended
+    before p (a check fired or the rewrite budget ran out), the vector's
+    outcome is the prefix's: the checks before p see the same terms, and the
+    last fault's fresh name cannot occur in them.
+
+    The trail and outcome of each vector shorter than ``depth``, the longest
+    a prefix can be, are kept for the life of the tree.  A prefix that has
+    not been analyzed yet (in a pool worker, its vector went to another
+    worker) is analyzed on demand.  ``trail``, when given, is the nominal
+    run's, made with ``rewriter``; otherwise the tree walks the nominal run
+    itself when a vector first needs it."""
+
+    def __init__(self, closed: ClosedProgram, rewriter: Rewriter,
+                 nominal: SymbolicRun, depth: int,
+                 trail: Optional[List[WalkState]] = None):
+        self.closed = closed
+        self.rewriter = rewriter
+        self.nominal = nominal
+        self.depth = depth
+        self._records: Dict[FaultVector, Tuple[List[WalkState], Optional[Outcome]]] = {}
+        if trail is not None:
+            # a completed run reaches every step, so its outcome is never used
+            self._records[()] = (trail, None)
+
+    def outcome(self, vector: FaultVector) -> Outcome:
+        """The outcome of a vector; the empty vector's is the nominal run's."""
+        closed = self.closed
+        if not vector:
+            trail: List[WalkState] = []
+            outcome = self._run(inject(closed.program, vector), trail)
+        else:
+            prefix = vector[:-1]
+            if prefix not in self._records:
+                self.outcome(prefix)
+            trail, outcome = self._records[prefix]
+            faults = inject(closed.program, vector)
+            resume = closed.position[vector[-1].site.statement]
+            if resume < len(trail):
+                trail = trail[:resume + 1]
+                outcome = self._run(faults, trail)
+        if len(vector) < self.depth:
+            self._records[vector] = (trail, outcome)
+        return outcome
+
+    def _run(self, faults: Injection, trail: List[WalkState]) -> Outcome:
+        program = self.closed.program
+        try:
+            run = run_symbolic(self.closed, self.rewriter, faults, trail)
+            return classify(self.nominal, run, program.attack_condition, self.rewriter)
+        except RewriteBudgetExceeded as err:
+            return Outcome(FAILURE, error=str(err))
 
 
 # -- multiprocessing workers --------------------------------------------------
@@ -125,21 +173,23 @@ def _analyze_vector(closed: ClosedProgram, vector: FaultVector, nominal: Symboli
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(program: Program, nominal: SymbolicRun, primes: frozenset):
-    _WORKER_STATE["closed"] = ClosedProgram(program)
-    _WORKER_STATE["nominal"] = nominal
-    _WORKER_STATE["rewriter"] = Rewriter(primes=primes)
+def _init_worker(program: Program, nominal: SymbolicRun,
+                 trail: List[WalkState], depth: int):
+    _WORKER_STATE["tree"] = _PrefixTree(
+        ClosedProgram(program), Rewriter(primes=program.prime_names()),
+        nominal, depth, trail)
 
 
 def _worker(vector: FaultVector) -> Outcome:
-    return _analyze_vector(_WORKER_STATE["closed"], vector,
-                           _WORKER_STATE["nominal"], _WORKER_STATE["rewriter"])
+    return _WORKER_STATE["tree"].outcome(vector)
 
 
-def nominal_run(closed: ClosedProgram, rewriter: Optional[Rewriter] = None) -> SymbolicRun:
-    """The fault-free run of a closed program, which must complete."""
+def nominal_run(closed: ClosedProgram, rewriter: Optional[Rewriter] = None,
+                trail: Optional[List[WalkState]] = None) -> SymbolicRun:
+    """The fault-free run of a closed program, which must complete; its walk
+    states go to ``trail`` when one is given."""
     rewriter = rewriter or Rewriter(primes=closed.program.prime_names())
-    run = run_symbolic(closed, rewriter)
+    run = run_symbolic(closed, rewriter, trail=trail)
     if not run.completed:
         raise AnalysisError(
             f"nominal run detected by verification {run.detected_by}; "
@@ -153,16 +203,18 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
     start = time.monotonic()
     rewriter = Rewriter(primes=program.prime_names())
     closed = ClosedProgram(program)
-    nominal = nominal_run(closed, rewriter)
+    trail: List[WalkState] = []
+    nominal = nominal_run(closed, rewriter, trail)
     sites = enumerate_sites(program, cfg)
     vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
     if jobs > 1 and len(vectors) > 1:
         with multiprocessing.Pool(
                 jobs, initializer=_init_worker,
-                initargs=(program, nominal, program.prime_names())) as pool:
+                initargs=(program, nominal, trail, cfg.max_faults)) as pool:
             outcomes = pool.map(_worker, vectors, chunksize=64)
     else:
-        outcomes = [_analyze_vector(closed, v, nominal, rewriter) for v in vectors]
+        tree = _PrefixTree(closed, rewriter, nominal, cfg.max_faults, trail)
+        outcomes = [tree.outcome(v) for v in vectors]
     results = tuple(zip(vectors, outcomes))
     duration_ms = (time.monotonic() - start) * 1000.0
     return Report(

@@ -13,8 +13,18 @@ A faulted run is that closure plus an overlay (``faults.inject``).  One walker
 goes through the statements in order: a statement keeps its nominal value
 unless it is faulted itself or reads a variable whose value the faults
 changed, and inside a statement it re-closes only the subterms that read such
-a variable.  ``run_symbolic`` decides each verification as soon as the walk
-reaches it and stops at the first that fires; ``inline`` drains the walk.
+a variable.  A re-closed statement value is kept under its faulted source
+term and the values of the changed variables it reads, so runs that reach a
+statement in the same state share it.  A permanent fault on an input enters
+the changed variables when the walk passes its declaration: in a
+single-assignment program nothing before the declaration reads the input.
+
+The walk is resumable.  A run records its walk state in front of each step
+it reaches (the changed variables, shared copy-on-write, and the warnings so
+far) in a trail, and a run whose faults agree with an earlier run's before
+step p resumes in front of p from that run's trail.  ``run_symbolic`` decides
+each verification as soon as the walk reaches it and stops at the first that
+fires; ``ClosedProgram.inline`` drains the walk from the first step.
 """
 
 from __future__ import annotations
@@ -75,10 +85,17 @@ class Step(NamedTuple):
     value: Expr               # nominal closed value
 
 
+# The walk state in front of a step: the variables whose value the faults
+# changed, with those values (never mutated once recorded), and the warnings
+# of the checks passed so far.
+WalkState = Tuple[Dict[str, Expr], Tuple[str, ...]]
+
+
 class ClosedProgram:
     """A program closed once, the base every fault overlay is applied to."""
 
-    __slots__ = ("program", "steps", "declarations", "_closed")
+    __slots__ = ("program", "steps", "declarations", "position", "_closed",
+                 "_reclosed")
 
     def __init__(self, program: Program):
         self.program = program
@@ -86,11 +103,16 @@ class ClosedProgram:
         # single-assignment program a subterm closes the same way wherever
         # it occurs
         self._closed: Dict[Expr, Tuple[Expr, FrozenSet[str]]] = {}
+        # (faulted source term, changed variables it reads with their
+        # values) -> re-closed value
+        self._reclosed: Dict[tuple, Expr] = {}
         steps: List[Step] = []
         declarations = set()
+        position: List[int] = []
         env: Dict[str, Expr] = {}
         check = 0
         for index, st in enumerate(program.statements):
+            position.append(len(steps))
             if isinstance(st, (DeclareNoProp, DeclarePrime)):
                 declarations.add(index)
                 continue
@@ -109,6 +131,8 @@ class ClosedProgram:
             raise ExecutionError("program does not end with a return statement")
         self.steps = tuple(steps)
         self.declarations = frozenset(declarations)
+        # statement index -> the first step at or after it
+        self.position = tuple(position)
 
     def _close(self, e: Expr, env: Dict[str, Expr]) -> Tuple[Expr, FrozenSet[str]]:
         entry = self._closed.get(e)
@@ -138,50 +162,84 @@ class ClosedProgram:
         new_kids = tuple(self.reclose(c, changed) for c in kids)
         return e if new_kids == kids else e.with_children(new_kids)
 
+    def _reclose_step(self, term: Expr, reads: FrozenSet[str],
+                      changed: Dict[str, Expr]) -> Expr:
+        """``reclose`` for a statement's whole term, where ``reads`` holds
+        every program variable the term reads, shared across runs."""
+        key = (term, tuple([item for item in changed.items() if item[0] in reads]))
+        value = self._reclosed.get(key)
+        if value is None:
+            value = self._reclosed[key] = self.reclose(term, changed)
+        return value
 
-def _walk(closed: ClosedProgram, faults: Injection) -> Iterator[Tuple[Optional[int], Expr]]:
-    """The closed verifications, as (check index, condition), then the closed
-    result, as (None, expression), of the program under ``faults``."""
+    def inline(self, faults: Optional[Injection] = None) -> UnrolledTerm:
+        """The closed checks and result of the run under ``faults`` (none by
+        default)."""
+        if faults is None:
+            faults = inject(self.program, ())
+        checks: List[Cond] = []
+        result: Optional[Expr] = None
+        for step, _, term in _walk(self, faults, 0, {}):
+            if step.check is not None:
+                checks.append(term)
+            elif step.target is None:
+                result = term
+        return UnrolledTerm(tuple(checks), result)
+
+
+def _walk(closed: ClosedProgram, faults: Injection, start: int,
+          changed: Dict[str, Expr]) -> Iterator[Tuple[Step, Dict[str, Expr], Expr]]:
+    """The steps from position ``start`` on under ``faults``, where the
+    faults before it changed the variables in ``changed``: yields each step,
+    the changed variables in front of it and the step's closed value."""
     data = faults.data
-    # variables whose value differs from their nominal closed value
-    changed: Dict[str, Expr] = {}
+    # permanent faults on inputs, by the step in front of which the walk
+    # passes their declaration
+    entering: Dict[int, Dict[str, Expr]] = {}
     for index, here in data.items():
-        if index in closed.declarations:  # a permanent fault on an input
+        if index in closed.declarations and closed.position[index] >= start:
+            values = entering.setdefault(closed.position[index], {})
             for fault in here:
-                changed[fault.site.variable] = fault_value(fault)
-    for index, target, check, source, reads, nominal in closed.steps:
+                values[fault.site.variable] = fault_value(fault)
+    steps = closed.steps
+    for pos in range(start, len(steps)):
+        step = steps[pos]
+        index, target, _, source, reads, nominal = step
+        front = changed
+        if entering and pos in entering:
+            changed = {**changed, **entering[pos]}
         here = data.get(index)
         if here is not None:
-            value = closed.reclose(apply_faults(source, here), changed)
+            value = closed._reclose_step(apply_faults(source, here), reads, changed)
         elif changed and not reads.isdisjoint(changed):
-            value = closed.reclose(source, changed)
+            value = closed._reclose_step(source, reads, changed)
         else:
             value = nominal
-        if target is None:
-            yield check, value
-        elif value is not nominal:
-            changed[target] = value
+        yield step, front, value
+        if target is not None and value is not nominal:
+            changed = {**changed, target: value}
 
 
 def inline(target: Union[Program, Injection]) -> UnrolledTerm:
     """The closed checks and result of a program, or of the run a fault
     overlay gives."""
     faults = target if isinstance(target, Injection) else inject(target, ())
-    checks: List[Cond] = []
-    result: Optional[Expr] = None
-    for check, term in _walk(ClosedProgram(faults.program), faults):
-        if check is None:
-            result = term
-        else:
-            checks.append(term)
-    return UnrolledTerm(tuple(checks), result)
+    return ClosedProgram(faults.program).inline(faults)
 
 
 def run_symbolic(closed: ClosedProgram, rewriter: Rewriter,
-                 faults: Optional[Injection] = None) -> SymbolicRun:
+                 faults: Optional[Injection] = None,
+                 trail: Optional[List[WalkState]] = None) -> SymbolicRun:
     """Walk the program under ``faults`` (none by default) and decide each
     check as soon as it is built; the first provable abort ends the run, and
     the result is normalized only when every check passed.
+
+    ``trail`` holds the walk states in front of steps 0..p of an earlier run
+    whose faults agree with ``faults`` before step p.  The run resumes in
+    front of step p from the last of them and appends the state in front of
+    each later step it reaches, the step where it stops included, also when
+    the rewriter raises.  An empty trail (the default) starts at step 0 with
+    nothing changed.
 
     A check-outcome fault zeroed skips its abort (recorded as a warning); a
     randomized one always fires it.
@@ -193,19 +251,25 @@ def run_symbolic(closed: ClosedProgram, rewriter: Rewriter,
     """
     if faults is None:
         faults = inject(closed.program, ())
-    warnings: List[str] = []
-    for k, term in _walk(closed, faults):
+    if trail is None:
+        trail = []
+    changed, warnings = trail.pop() if trail else ({}, ())
+    for step, front, term in _walk(closed, faults, len(trail), changed):
+        trail.append((front, warnings))
+        if step.target is not None:
+            continue
+        k = step.check
         if k is None:  # the walk ends with the result
             break
         kind = faults.checks.get(k)
         if kind == ZEROING:
-            warnings.append(f"check {k} skipped by a zeroed condition")
+            warnings += (f"check {k} skipped by a zeroed condition",)
             continue
         if kind == RANDOMIZING:
-            return SymbolicRun(k, None, tuple(warnings))
+            return SymbolicRun(k, None, warnings)
         verdict = rewriter.decide_check(term, faults.fresh)
         if verdict == TRUE:
-            return SymbolicRun(k, None, tuple(warnings))
+            return SymbolicRun(k, None, warnings)
         if verdict == UNKNOWN:
-            warnings.append(f"check {k} not provably triggered; passed through")
-    return SymbolicRun(None, rewriter.normalize(term), tuple(warnings))
+            warnings += (f"check {k} not provably triggered; passed through",)
+    return SymbolicRun(None, rewriter.normalize(term), warnings)

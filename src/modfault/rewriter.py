@@ -63,6 +63,11 @@ class Rewriter:
 
     ``primes`` are the names declared with the ``prime`` keyword; fresh fault
     variables have no properties at all and never take part in a theorem.
+
+    The budget bounds each public call's unshared steps: a memoized normal
+    form charges the steps its computation took, so whether a call exceeds
+    the budget does not depend on what earlier calls left in the memo, and
+    verdicts do not depend on the order in which vectors are analyzed.
     """
 
     def __init__(self, primes: Iterable[str] = (), budget: Optional[RewriteBudget] = None):
@@ -97,22 +102,20 @@ class Rewriter:
 
     # -- normalization ------------------------------------------------------
 
-    def _bump(self):
-        self._steps += 1
-        if self._steps > self.budget.max_steps:
-            raise RewriteBudgetExceeded(
-                f"rewrite budget of {self.budget.max_steps} steps exceeded")
-
     def _norm(self, e: Expr, ctx: Optional[Expr]) -> Expr:
         key = (e, ctx)
         hit = self._memo.get(key)
+        start = self._steps
+        self._steps += 1 if hit is None else hit[1]
+        if self._steps > self.budget.max_steps:
+            raise RewriteBudgetExceeded(
+                f"rewrite budget of {self.budget.max_steps} steps exceeded")
         if hit is not None:
-            return hit
-        self._bump()
+            return hit[0]
         result = self._norm_dispatch(e, ctx)
         if ctx is not None and result != ZERO and _is_multiple(result, ctx):
             result = ZERO  # multiples of the modulus vanish in its own ring
-        self._memo[key] = result
+        self._memo[key] = (result, self._steps - start)
         return result
 
     def _norm_dispatch(self, e: Expr, ctx: Optional[Expr]) -> Expr:
@@ -576,5 +579,16 @@ def _crt_components(m: Expr) -> List[Expr]:
 
 
 def degenerate_moduli(e: Expr) -> bool:
-    """True when the term contains an inert reduction modulo zero."""
-    return any(isinstance(n, Mod) and n.modulus == ZERO for n in walk(e))
+    """True when the term contains an inert reduction modulo zero.  Each
+    distinct subterm is visited once: normal forms share subterms heavily."""
+    seen = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        if isinstance(n, Mod) and n.modulus == ZERO:
+            return True
+        seen.add(n)
+        stack.extend(n.children())
+    return False

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from modfault import (
-    ATTACK, DETECTED, FAILURE, HARMLESS, ClosedProgram, FaultConfig, Rewriter,
-    analyze, classify, count_vectors, enumerate_sites, nominal_run, parse,
+    ATTACK, DETECTED, FAILURE, HARMLESS, ClosedProgram, FaultConfig,
+    RewriteBudget, Rewriter, analyze, classify, count_vectors,
+    enumerate_sites, enumerate_vectors, nominal_run, parse,
 )
-from modfault.analyzer import removed_check_variants
+from modfault.analyzer import _PrefixTree, removed_check_variants
 from modfault.executor import SymbolicRun
 from modfault.faults import Fault, FaultSite, RANDOMIZING, ZEROING
 from modfault.reporting import report_dict
@@ -63,9 +66,8 @@ def test_coherent_blinding_fault_is_harmless(corpus_programs):
                   if getattr(st, "names", None) and "r" in st.names)
     vec = (Fault(FaultSite("permanent", r_decl, variable="r"), RANDOMIZING, "f1"),)
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(ClosedProgram(prog), rw)
-    from modfault.analyzer import _analyze_vector
-    outcome = _analyze_vector(ClosedProgram(prog), vec, nominal, rw)
+    closed = ClosedProgram(prog)
+    outcome = _PrefixTree(closed, rw, nominal_run(closed, rw), 1).outcome(vec)
     assert outcome.kind == HARMLESS
 
 
@@ -76,9 +78,8 @@ def test_degenerate_modulus_warning(corpus_programs):
                   if getattr(st, "target", None) == "N")
     vec = (Fault(FaultSite("permanent", n_stmt, variable="N"), ZEROING),)
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(ClosedProgram(prog), rw)
-    from modfault.analyzer import _analyze_vector
-    outcome = _analyze_vector(ClosedProgram(prog), vec, nominal, rw)
+    closed = ClosedProgram(prog)
+    outcome = _PrefixTree(closed, rw, nominal_run(closed, rw), 1).outcome(vec)
     assert outcome.kind == HARMLESS
     assert any("degenerate" in w for w in outcome.warnings)
 
@@ -124,6 +125,49 @@ def test_parallel_matches_sequential(corpus_programs):
     par = report_dict(analyze(prog, cfg, jobs=3))
     seq.pop("duration_ms"), par.pop("duration_ms")
     assert seq == par
+
+
+def _tree_outcomes(prog, vectors, rewriter, depth):
+    """Each vector's outcome from a fresh prefix tree that has analyzed only
+    the nominal run, in the given order."""
+    closed = ClosedProgram(prog)
+    trail = []
+    nominal = nominal_run(closed, rewriter, trail)
+    tree = _PrefixTree(closed, rewriter, nominal, depth, trail)
+    return {vector: tree.outcome(vector) for vector in vectors}
+
+
+def test_verdicts_do_not_depend_on_vector_order(corpus_programs):
+    # the budget counts unshared steps: a memoized normal form charges what
+    # it cost, so the verdicts cannot depend on what earlier vectors left in
+    # the memo
+    prog = corpus_programs["vigilant-fixed"]
+    cfg = FaultConfig(max_faults=1)
+    vectors = list(enumerate_vectors(enumerate_sites(prog, cfg), cfg))
+    budget = RewriteBudget(max_steps=2000)
+
+    def outcomes(order):
+        return _tree_outcomes(prog, order, Rewriter(primes=prog.prime_names(),
+                                                    budget=budget), 1)
+
+    expected = outcomes(vectors)
+    assert sum(o.kind == FAILURE for o in expected.values()) == 56
+    for seed in (1, 2, 3):
+        shuffled = list(vectors)
+        random.Random(seed).shuffle(shuffled)
+        assert outcomes(shuffled) == expected, f"seed {seed}"
+
+
+def test_prefixes_are_analyzed_on_demand(corpus_programs):
+    # a pool worker may receive a 2-fault vector before, or instead of, its
+    # 1-fault prefix: the tree analyzes the prefix when first needed
+    prog = corpus_programs["vigilant-fixed"]
+    cfg = FaultConfig(max_faults=2, kinds=(RANDOMIZING,), protect_conditions=True)
+    report = analyze(prog, cfg, jobs=2)
+    expected = {v: o for v, o in report.results if len(v) == 2}
+    actual = _tree_outcomes(prog, expected, Rewriter(primes=prog.prime_names()), 2)
+    assert len(actual) == 13695
+    assert actual == expected
 
 
 def test_removed_check_variants(corpus_programs):

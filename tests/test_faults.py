@@ -7,7 +7,7 @@ from modfault import (
     ZEROING, count_vectors, enumerate_sites, enumerate_vectors, inject, inline,
     nominal_run, parse,
 )
-from modfault.analyzer import _analyze_vector
+from modfault.analyzer import _PrefixTree
 from modfault.faults import Fault, FaultSite, apply_faults, fresh_name_base
 from modfault.oracle import eval_program, instantiate
 from modfault.terms import Prod, Var, Verify, Zero, free_vars, subterm_at, walk
@@ -152,7 +152,9 @@ def test_check_fault_is_a_run_overlay(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
     closed = ClosedProgram(prog)
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(closed, rw)
+    trail = []
+    nominal = nominal_run(closed, rw, trail)
+    tree = _PrefixTree(closed, rw, nominal, 1, trail)
     env = instantiate(prog, seed=1)
     check_sites = [s for s in enumerate_sites(prog, FaultConfig())
                    if s.scope == "check"]
@@ -166,10 +168,10 @@ def test_check_fault_is_a_run_overlay(corpus_programs):
             # no data fault, and no fresh name for a randomized outcome
             assert faults.data == {} and faults.fresh == frozenset()
             assert faults.checks == {k: vector[0].kind}
-        skipped = _analyze_vector(closed, zero, nominal, rw)
+        skipped = tree.outcome(zero)
         assert skipped.detected_by is None
         assert f"check {k} skipped by a zeroed condition" in skipped.warnings
-        assert _analyze_vector(closed, rand, nominal, rw).detected_by == k
+        assert tree.outcome(rand).detected_by == k
         # the numeric run honours the same overlay
         assert eval_program(inject(prog, zero), env) == eval_program(prog, env)
         assert eval_program(inject(prog, rand), env) == ("error", k)

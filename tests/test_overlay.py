@@ -1,21 +1,26 @@
-"""The fault overlay against the program rebuild it replaced.
+"""The prefix tree over the fault overlay against the program rebuild it
+replaced.
 
 ``reference_inject`` and ``reference_run_symbolic`` are the definitions the
 overlay walk replaced, kept as the reference: the first rebuilds a faulted
 program (fresh names declared up front, a faulted declaration split into a
 declaration and an assignment), the second decides the checks of a fully
-built ``UnrolledTerm``.  For every vector of the corpus at one fault and of
-criterion 7, draining the overlay walk must give the same closed run as
-inlining the rebuilt program, and the analysis must send the rewriter the
-same calls, in the same order, as the reference path.
+built ``UnrolledTerm``, every vector from its first statement.  For every
+vector of the corpus at one fault and of criterion 7, draining the overlay
+walk on one closure must give the same closed run as closing the rebuilt
+program, and the prefix tree must give the same outcome as the reference.
+Its rewriter calls must be the reference's without the ``decide_check``
+calls on the checks before the last fault's statement: those the vector's
+prefix already decided.  When the prefix's run ended before that statement,
+the vector makes no call at all.
 """
 
 from modfault import (
-    ClosedProgram, FaultConfig, RANDOMIZING, Rewriter, RewriteBudgetExceeded,
-    ZEROING, classify, enumerate_sites, enumerate_vectors, inject, inline,
+    ClosedProgram, FaultConfig, RANDOMIZING, Rewriter, RewriteBudget,
+    RewriteBudgetExceeded, ZEROING, classify, enumerate_sites, enumerate_vectors, inject, inline,
     nominal_run,
 )
-from modfault.analyzer import FAILURE, Outcome, _analyze_vector
+from modfault.analyzer import FAILURE, Outcome, _PrefixTree
 from modfault.executor import SymbolicRun
 from modfault.faults import _operand_paths, fresh_name_base
 from modfault.rewriter import TRUE, UNKNOWN
@@ -129,56 +134,68 @@ class LoggingRewriter(Rewriter):
         return super().decide_check(c, fresh)
 
 
-def assert_overlay_matches_reference(program, cfg):
+def prefix_decided_calls(program, vector, ref_calls):
+    """How many of the reference's leading calls decide checks before the
+    statement of the vector's last fault: the checks its prefix decided."""
+    last = vector[-1].site.statement
+    faulted = {f.site.check for f in vector if f.site.scope == "check"}
+    checks = [i for i, st in enumerate(program.statements) if isinstance(st, Verify)]
+    before = sum(1 for k, i in enumerate(checks) if i < last and k not in faulted)
+    leading = next((n for n, call in enumerate(ref_calls) if call[0] != "decide_check"),
+                   len(ref_calls))
+    return min(before, leading)
+
+
+def assert_prefix_tree_matches_reference(program, cfg, budget=None):
+    """Sweep every vector of the model through one prefix tree and through
+    the reference; return the vector count and the failures."""
     closed = ClosedProgram(program)
-    new_rw = LoggingRewriter(primes=program.prime_names())
-    ref_rw = LoggingRewriter(primes=program.prime_names())
-    nominal = nominal_run(closed, new_rw)
-    assert nominal == nominal_run(closed, ref_rw)
+    primes = program.prime_names()
+    nominal = nominal_run(closed, Rewriter(primes=primes))
+    new_rw = LoggingRewriter(primes=primes, budget=budget)
+    ref_rw = LoggingRewriter(primes=primes, budget=budget)
+    tree = _PrefixTree(closed, new_rw, nominal, cfg.max_faults)
+    # the root, walked under the sweep's budget: the empty vector
+    assert tree.outcome(()) == reference_analyze_vector(
+        inline(program), program, (), nominal, ref_rw)
     assert new_rw.calls == ref_rw.calls
     vectors = list(enumerate_vectors(enumerate_sites(program, cfg), cfg,
                                      fresh_name_base(program)))
+    failures = 0
     for i, vector in enumerate(vectors):
         unrolled = inline(reference_inject(program, vector))
-        assert inline(inject(program, vector)) == unrolled, f"vector #{i}: {vector}"
+        assert closed.inline(inject(program, vector)) == unrolled, f"vector #{i}: {vector}"
         new_rw.calls.clear()
         ref_rw.calls.clear()
-        outcome = _analyze_vector(closed, vector, nominal, new_rw)
+        outcome = tree.outcome(vector)
         expected = reference_analyze_vector(unrolled, program, vector, nominal, ref_rw)
         assert outcome == expected, f"vector #{i}: {vector}"
-        assert new_rw.calls == ref_rw.calls, f"vector #{i}: {vector}"
-    return len(vectors)
+        # when the prefix's run ended before the last fault's statement, the
+        # reference made only the skipped calls, and the tree makes none
+        skipped = prefix_decided_calls(program, vector, ref_rw.calls)
+        assert new_rw.calls == ref_rw.calls[skipped:], f"vector #{i}: {vector}"
+        failures += outcome.kind == FAILURE
+    return len(vectors), failures
 
 
 def test_overlay_matches_reference_on_the_corpus(corpus_programs):
     cfg = FaultConfig(max_faults=1)
-    total = sum(assert_overlay_matches_reference(prog, cfg)
+    total = sum(assert_prefix_tree_matches_reference(prog, cfg)[0]
                 for prog in corpus_programs.values())
     assert total == 1522
 
 
 def test_overlay_matches_reference_on_criterion_7(corpus_programs):
-    total = assert_overlay_matches_reference(corpus_programs["vigilant-fixed"], CRITERION_7)
+    total, _ = assert_prefix_tree_matches_reference(
+        corpus_programs["vigilant-fixed"], CRITERION_7)
     assert total == 13861
 
 
 def test_overlay_matches_reference_under_a_tight_budget(corpus_programs):
-    # with shared memos, a budget failure depends on every earlier call: the
-    # same traffic must give the same failures
-    from modfault import RewriteBudget
-    prog = corpus_programs["vigilant-original"]
-    closed = ClosedProgram(prog)
-    nominal = nominal_run(closed, Rewriter(primes=prog.prime_names()))
-    budget = RewriteBudget(max_steps=30)
-    new_rw = LoggingRewriter(primes=prog.prime_names(), budget=budget)
-    ref_rw = LoggingRewriter(primes=prog.prime_names(), budget=budget)
-    cfg = FaultConfig(max_faults=1)
-    failures = 0
-    for vector in enumerate_vectors(enumerate_sites(prog, cfg), cfg):
-        outcome = _analyze_vector(closed, vector, nominal, new_rw)
-        expected = reference_analyze_vector(
-            inline(reference_inject(prog, vector)), prog, vector, nominal, ref_rw)
-        assert outcome == expected
-        failures += outcome.kind == FAILURE
-    assert new_rw.calls == ref_rw.calls
+    # the budget counts unshared steps, so a vector fails whatever earlier
+    # vectors left in the memo, and whether its prefix made the calls it skips
+    total, failures = assert_prefix_tree_matches_reference(
+        corpus_programs["vigilant-original"], FaultConfig(max_faults=1),
+        RewriteBudget(max_steps=30))
+    assert total == 490
     assert failures  # the budget must bite for the test to mean anything
