@@ -1,9 +1,17 @@
-"""Report rendering: plain text, machine-readable JSON and standalone HTML."""
+"""Report rendering: plain text, machine-readable JSON and standalone HTML.
+
+``report_dict`` is the report's public dict form.  ``render(r, "json")``
+gives exactly the bytes of ``json.dumps(report_dict(r), indent=2) + "\n"``.
+It gets them without the pure-Python indenting encoder walking every row: a
+fault vector's faults and its outcome repeat across a large report, so each
+distinct fault and each distinct outcome is encoded once per report, as
+``json.dumps`` would indent it at its depth, and the rows are joined from
+those shared fragments.
+"""
 
 from __future__ import annotations
 
 import html
-import io
 import json
 from typing import Dict, List
 
@@ -31,8 +39,8 @@ def _fault_dict(fault: Fault) -> Dict:
     return out
 
 
-def _result_dict(vector, outcome: Outcome) -> Dict:
-    out: Dict = {"faults": [_fault_dict(f) for f in vector], "outcome": outcome.kind}
+def _outcome_dict(outcome: Outcome) -> Dict:
+    out: Dict = {"outcome": outcome.kind}
     if outcome.detected_by is not None:
         out["detected_by"] = outcome.detected_by
     if outcome.branch is not None:
@@ -45,7 +53,7 @@ def _result_dict(vector, outcome: Outcome) -> Dict:
     return out
 
 
-def report_dict(report: Report) -> Dict:
+def _report_dict(report: Report, results: List[Dict]) -> Dict:
     cfg = report.config
     return {
         "program": {"path": report.path, "sha256": report.sha256},
@@ -56,18 +64,70 @@ def report_dict(report: Report) -> Dict:
             "protect_conditions": cfg.protect_conditions,
         },
         "nominal": report.nominal,
-        "results": [_result_dict(v, o) for v, o in report.results],
+        "results": results,
         "summary": report.summary,
         "duration_ms": report.duration_ms,
     }
 
 
+def report_dict(report: Report) -> Dict:
+    return _report_dict(report, [
+        {"faults": [_fault_dict(f) for f in vector], **_outcome_dict(outcome)}
+        for vector, outcome in report.results])
+
+
+def _nested(obj, depth: int) -> bytes:
+    """``obj`` as ``json.dumps(..., indent=2)`` writes it nested ``depth``
+    levels deep, from its first character on.  JSON strings escape
+    newlines, so each newline in the text starts a line to indent."""
+    text = json.dumps(obj, indent=2)
+    return text.replace("\n", "\n" + "  " * depth).encode()
+
+
+_NO_RESULTS = '\n  "results": [],'
+_FIRST_ROW = b'\n  "results": [\n    {\n      "faults": ['
+_NEXT_ROW = b',\n    {\n      "faults": ['
+
+
+def render_json(report: Report) -> bytes:
+    head, _, tail = json.dumps(_report_dict(report, []), indent=2).partition(
+        _NO_RESULTS)
+    if not report.results:
+        return (head + _NO_RESULTS + tail + "\n").encode()
+    fault_parts: Dict[Fault, bytes] = {}
+    outcome_parts: Dict[Outcome, bytes] = {}
+    parts = [head.encode()]
+    row = _FIRST_ROW
+    for vector, outcome in report.results:
+        parts.append(row)
+        row = _NEXT_ROW
+        sep = b"\n        "
+        for fault in vector:
+            part = fault_parts.get(fault)
+            if part is None:
+                part = fault_parts[fault] = _nested(_fault_dict(fault), 4)
+            parts.append(sep)
+            parts.append(part)
+            sep = b",\n        "
+        parts.append(b"\n      ]," if vector else b"],")
+        part = outcome_parts.get(outcome)
+        if part is None:
+            # the outcome's keys close the row: drop the dict's own "{"
+            part = outcome_parts[outcome] = _nested(_outcome_dict(outcome), 2)[1:]
+        parts.append(part)
+    parts.append(b"\n  ],")
+    parts.append(tail.encode())
+    parts.append(b"\n")
+    return b"".join(parts)
+
+
+def _describe_fault(f: Fault) -> str:
+    fresh = f" -> {f.fresh_name}" if f.fresh_name else ""
+    return f"{f.site.describe()} [{f.kind}{fresh}]"
+
+
 def _describe_vector(vector) -> str:
-    return "; ".join(
-        f"{f.site.describe()} [{f.kind}"
-        + (f" -> {f.fresh_name}" if f.fresh_name else "")
-        + "]"
-        for f in vector)
+    return "; ".join(_describe_fault(f) for f in vector)
 
 
 def render_text(report: Report) -> str:
@@ -104,8 +164,17 @@ code { word-break: break-all; }
 
 def render_html(report: Report) -> str:
     s = report.summary
+    # html.escape maps "; " to itself, so it distributes over the join of
+    # _describe_vector, and each distinct fault is escaped once
+    escaped: Dict[Fault, str] = {}
     rows: List[str] = []
     for vector, outcome in report.results:
+        cells = []
+        for f in vector:
+            cell = escaped.get(f)
+            if cell is None:
+                cell = escaped[f] = html.escape(_describe_fault(f))
+            cells.append(cell)
         detail = ""
         if outcome.kind == DETECTED:
             detail = f"verification {outcome.detected_by}"
@@ -118,7 +187,7 @@ def render_html(report: Report) -> str:
             detail += "<br>warnings: " + html.escape("; ".join(outcome.warnings))
         rows.append(
             f'<tr class="{outcome.kind}">'
-            f"<td>{html.escape(_describe_vector(vector))}</td>"
+            f"<td>{'; '.join(cells)}</td>"
             f"<td>{outcome.kind}</td><td>{detail}</td></tr>")
     cfg = report.config
     return f"""<!DOCTYPE html>
@@ -147,12 +216,7 @@ def render(report: Report, fmt: str) -> bytes:
     if fmt == "text":
         return render_text(report).encode()
     if fmt == "json":
-        # json.dump writes each chunk as it is made; json.dumps would hold
-        # all of them until the final join, a large peak for a big report.
-        buf = io.StringIO()
-        json.dump(report_dict(report), buf, indent=2)
-        buf.write("\n")
-        return buf.getvalue().encode()
+        return render_json(report)
     if fmt == "html":
         return render_html(report).encode()
     raise ValueError(f"unknown report format {fmt!r}; choose from {FORMATS}")

@@ -65,7 +65,8 @@ def _first_difference(actual: dict, expected_vectors, actual_vectors) -> str:
     if len(actual_vectors) != len(expected_vectors):
         return (f"vector count differs: {len(actual_vectors)} "
                 f"instead of {len(expected_vectors)}")
-    return "every vector matches; the report header differs"
+    return ("every vector's data match; the header or the layout "
+            "(whitespace, escaping) differs")
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_FILES))
