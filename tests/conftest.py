@@ -18,6 +18,12 @@ CORPUS_FILES = {
 # Criterion 7's model: two zeroing faults with protected conditions.
 CRITERION_7 = FaultConfig(max_faults=2, kinds=(ZEROING,), protect_conditions=True)
 
+# Criterion 7's model at order 3 with permanent faults only: every 3-fault
+# vector resumes from the walk its 2-fault prefix recorded.
+THREE_FAULTS_PERMANENT = FaultConfig(max_faults=3, kinds=(ZEROING,),
+                                     transient_enabled=False,
+                                     protect_conditions=True)
+
 
 def load_program(name):
     source = CORPUS_FILES[name].read_bytes()

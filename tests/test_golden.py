@@ -4,9 +4,10 @@ writes, with only the ``duration_ms`` line cut out, so whitespace, key
 spacing and escaping are pinned as well as the data.
 
 The four corpus files under the 1-fault model are kept in full under
-``golden/``; the three 2-fault models on ``vigilant-fixed`` are kept as a
-sha256 of the whole report plus a 4-hex-digit digest per vector, so a
-mismatch can name the first vector that changed.  Regenerate with
+``golden/``; the three 2-fault models and the 3-fault one on
+``vigilant-fixed`` are kept as a sha256 of the whole report plus a
+4-hex-digit digest per vector, so a mismatch can name the first vector that
+changed.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only when a verdict change is
 intended.
 """
@@ -22,7 +23,9 @@ import pytest
 from modfault import FaultConfig, RANDOMIZING, analyze
 from modfault.reporting import render
 
-from conftest import CORPUS_FILES, CRITERION_7, ROOT, load_program
+from conftest import (
+    CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT, load_program,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
@@ -33,6 +36,7 @@ DIGEST_MODELS = {
     "criterion-7-randomizing": FaultConfig(
         max_faults=2, kinds=(RANDOMIZING,), protect_conditions=True),
     "two-faults-no-transient": FaultConfig(max_faults=2, transient_enabled=False),
+    "three-faults-permanent": THREE_FAULTS_PERMANENT,
 }
 
 
@@ -99,6 +103,11 @@ def test_criterion_7_report_matches_digest(criterion_7_report):
                                    "two-faults-no-transient"])
 def test_two_fault_report_matches_digest(model):
     _check_digest(model, run_model("vigilant-fixed", DIGEST_MODELS[model]))
+
+
+def test_three_fault_report_matches_digest():
+    _check_digest("three-faults-permanent",
+                  run_model("vigilant-fixed", THREE_FAULTS_PERMANENT))
 
 
 def _regenerate():

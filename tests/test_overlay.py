@@ -6,9 +6,10 @@ overlay walk replaced, kept as the reference: the first rebuilds a faulted
 program (fresh names declared up front, a faulted declaration split into a
 declaration and an assignment), the second decides the checks of a fully
 built ``UnrolledTerm``, every vector from its first statement.  For every
-vector of the corpus at one fault and of criterion 7, draining the overlay
-walk on one closure must give the same closed run as closing the rebuilt
-program, and the prefix tree must give the same outcome as the reference.
+vector of the corpus at one fault, of criterion 7 and of its 3-fault
+permanent-only twin, draining the overlay walk on one closure must give the
+same closed run as closing the rebuilt program, and the prefix tree must
+give the same outcome as the reference.
 Its rewriter calls must be the reference's without the ``decide_check``
 calls on the checks before the last fault's statement: those the vector's
 prefix already decided.  When the prefix's run ended before that statement,
@@ -28,7 +29,7 @@ from modfault.terms import (
     Assign, DeclareNoProp, Program, Return, Var, Verify, ZERO, replace_at,
 )
 
-from conftest import CRITERION_7
+from conftest import CRITERION_7, THREE_FAULTS_PERMANENT
 
 
 def reference_inject(program, vector):
@@ -189,6 +190,13 @@ def test_overlay_matches_reference_on_criterion_7(corpus_programs):
     total, _ = assert_prefix_tree_matches_reference(
         corpus_programs["vigilant-fixed"], CRITERION_7)
     assert total == 13861
+
+
+def test_overlay_matches_reference_at_three_faults(corpus_programs):
+    # every 3-fault vector resumes from the trail of its 2-fault prefix
+    total, _ = assert_prefix_tree_matches_reference(
+        corpus_programs["vigilant-fixed"], THREE_FAULTS_PERMANENT)
+    assert total == 3682
 
 
 def test_overlay_matches_reference_under_a_tight_budget(corpus_programs):
