@@ -199,6 +199,18 @@ def test_overlay_matches_reference_at_three_faults(corpus_programs):
     assert total == 3682
 
 
+def test_overlay_matches_reference_when_an_input_is_read_next(corpus_programs):
+    # with the primes declared first, the statement right after the inputs'
+    # declaration reads the input e, so a faulted input must enter the walk
+    # at its declaration; two faults on that declaration resume there
+    program = corpus_programs["unprotected"]
+    noprop, prime, *rest = program.statements
+    swapped = Program((prime, noprop, *rest), program.attack_condition)
+    total, _ = assert_prefix_tree_matches_reference(
+        swapped, FaultConfig(max_faults=2, transient_enabled=False))
+    assert total == 50
+
+
 def test_overlay_matches_reference_under_a_tight_budget(corpus_programs):
     # the budget counts unshared steps, so a vector fails whatever earlier
     # vectors left in the memo, and whether its prefix made the calls it skips
