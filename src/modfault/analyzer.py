@@ -113,12 +113,13 @@ class _PrefixTree:
     """The fault vectors of one analysis as a prefix tree over one walker.
 
     A vector's run is its prefix's run (the vector without its last fault)
-    up to the step of that last fault, at position p; the empty prefix is
-    the nominal run.  A run resumes in front of p from the trail its prefix
-    recorded, under all of the vector's faults.  When the prefix's run ended
-    before p (a check fired or the rewrite budget ran out), the vector's
-    outcome is the prefix's: the checks before p see the same terms, and the
-    last fault's fresh name cannot occur in them.
+    up to the statement of that last fault, statement p; the empty prefix is
+    the nominal run.  The trail holds one walk state per statement, so the
+    run resumes from ``trail[p]``, the state its prefix recorded in front of
+    p, under all of the vector's faults.  When the prefix's run ended before
+    p (a check fired or the rewrite budget ran out), the vector's outcome is
+    the prefix's: the checks before p see the same terms, and the last
+    fault's fresh name cannot occur in them.
 
     The trail and outcome of each vector shorter than ``depth``, the longest
     a prefix can be, are kept for the life of the tree.  A prefix that has
@@ -151,7 +152,7 @@ class _PrefixTree:
                 self.outcome(prefix)
             trail, outcome = self._records[prefix]
             faults = inject(closed.program, vector)
-            resume = closed.position[vector[-1].site.statement]
+            resume = vector[-1].site.statement
             if resume < len(trail):
                 trail = trail[:resume + 1]
                 outcome = self._run(faults, trail)

@@ -3,28 +3,32 @@ computation.
 
 Assigned variables are fully inlined so rewrite rules can match structurally
 (the subring collapse must see p inside p' = p*r*r, for instance).  Only
-noprop/prime declarations and fresh fault variables remain free.
+noprop/prime inputs and fresh fault variables remain free.
 
-A program is closed once, into a ``ClosedProgram``: for each statement, its
-protection-stripped source term, the variables that term reads and its
-nominal closed value.  That is the one place where protection ends: the terms
-it holds carry no protection flags, so nothing downstream strips them again.
-A faulted run is that closure plus an overlay (``faults.inject``).  One walker
-goes through the statements in order: a statement keeps its nominal value
+A program is closed once, into a ``ClosedProgram``: one step per statement,
+holding its protection-stripped source term, the variables that term reads
+and its nominal closed value.  That is the one place where protection ends:
+the terms it holds carry no protection flags, so nothing downstream strips
+them again.  A declaration's step has no source term; it is where the
+permanent faults on the inputs it declares enter the walk, the way
+``oracle.eval_program`` applies them.  In a single-assignment program
+nothing before the declaration reads those inputs.
+
+A faulted run is that closure plus an overlay (``faults.inject``).  One
+walker goes through the steps in order: a statement keeps its nominal value
 unless it is faulted itself or reads a variable whose value the faults
 changed, and inside a statement it re-closes only the subterms that read such
 a variable.  A re-closed statement value is kept under its faulted source
 term and the values of the changed variables it reads, so runs that reach a
-statement in the same state share it.  A permanent fault on an input enters
-the changed variables when the walk passes its declaration: in a
-single-assignment program nothing before the declaration reads the input.
+statement in the same state share it.
 
-The walk is resumable.  A run records its walk state in front of each step
-it reaches (the changed variables, shared copy-on-write, and the warnings so
-far) in a trail, and a run whose faults agree with an earlier run's before
-step p resumes in front of p from that run's trail.  ``run_symbolic`` decides
-each verification as soon as the walk reaches it and stops at the first that
-fires; ``ClosedProgram.inline`` drains the walk from the first step.
+The walk is resumable.  A run records its walk state in front of each
+statement it reaches (the changed variables, shared copy-on-write, and the
+warnings so far) in a trail, and a run whose faults agree with an earlier
+run's before statement p resumes in front of p from that run's trail.
+``run_symbolic`` decides each verification as soon as the walk reaches it
+and stops at the first that fires; ``ClosedProgram.inline`` drains the walk
+from the first statement.
 """
 
 from __future__ import annotations
@@ -76,26 +80,27 @@ def subst(e: Expr, env: Dict[str, Expr]) -> Expr:
 
 
 class Step(NamedTuple):
-    """One term-computing statement of a closed program."""
-    index: int                # position in Program.statements
-    target: Optional[str]     # the assigned variable; None for a check or the return
+    """One statement of a closed program."""
+    target: Optional[str]     # the assigned variable; None for any other statement
     check: Optional[int]      # the verification's index; None otherwise
-    source: Expr              # protection-stripped right-hand side, condition or value
+    source: Optional[Expr]    # protection-stripped right-hand side, condition
+                              # or value; None for a declaration
     reads: FrozenSet[str]     # variables the source reads
-    value: Expr               # nominal closed value
+    value: Optional[Expr]     # nominal closed value; None for a declaration
 
 
-# The walk state in front of a step: the variables whose value the faults
-# changed, with those values (never mutated once recorded), and the warnings
-# of the checks passed so far.
+_DECLARATION = Step(None, None, None, frozenset(), None)
+
+# The walk state in front of statement p: the variables whose value the
+# faults changed, with those values (never mutated once recorded), and the
+# warnings of the checks passed so far.
 WalkState = Tuple[Dict[str, Expr], Tuple[str, ...]]
 
 
 class ClosedProgram:
     """A program closed once, the base every fault overlay is applied to."""
 
-    __slots__ = ("program", "steps", "declarations", "position", "_closed",
-                 "_reclosed")
+    __slots__ = ("program", "steps", "_closed", "_reclosed")
 
     def __init__(self, program: Program):
         self.program = program
@@ -107,14 +112,11 @@ class ClosedProgram:
         # values) -> re-closed value
         self._reclosed: Dict[tuple, Expr] = {}
         steps: List[Step] = []
-        declarations = set()
-        position: List[int] = []
         env: Dict[str, Expr] = {}
         check = 0
-        for index, st in enumerate(program.statements):
-            position.append(len(steps))
+        for st in program.statements:
             if isinstance(st, (DeclareNoProp, DeclarePrime)):
-                declarations.add(index)
+                steps.append(_DECLARATION)
                 continue
             if isinstance(st, Assign):
                 source, target, k = strip_protection(st.rhs), st.target, None
@@ -126,13 +128,10 @@ class ClosedProgram:
             value, reads = self._close(source, env)
             if target is not None:
                 env[target] = value
-            steps.append(Step(index, target, k, source, reads, value))
+            steps.append(Step(target, k, source, reads, value))
         if not program.statements or not isinstance(program.statements[-1], Return):
             raise ExecutionError("program does not end with a return statement")
         self.steps = tuple(steps)
-        self.declarations = frozenset(declarations)
-        # statement index -> the first step at or after it
-        self.position = tuple(position)
 
     def _close(self, e: Expr, env: Dict[str, Expr]) -> Tuple[Expr, FrozenSet[str]]:
         entry = self._closed.get(e)
@@ -178,45 +177,33 @@ class ClosedProgram:
         if faults is None:
             faults = inject(self.program, ())
         checks: List[Cond] = []
-        result: Optional[Expr] = None
         for step, _, term in _walk(self, faults, 0, {}):
             if step.check is not None:
                 checks.append(term)
-            elif step.target is None:
-                result = term
-        return UnrolledTerm(tuple(checks), result)
+        return UnrolledTerm(tuple(checks), term)  # the walk ends with the return
 
 
 def _walk(closed: ClosedProgram, faults: Injection, start: int,
           changed: Dict[str, Expr]) -> Iterator[Tuple[Step, Dict[str, Expr], Expr]]:
-    """The steps from position ``start`` on under ``faults``, where the
+    """The steps from statement ``start`` on under ``faults``, where the
     faults before it changed the variables in ``changed``: yields each step,
     the changed variables in front of it and the step's closed value."""
     data = faults.data
-    # permanent faults on inputs, by the step in front of which the walk
-    # passes their declaration
-    entering: Dict[int, Dict[str, Expr]] = {}
-    for index, here in data.items():
-        if index in closed.declarations and closed.position[index] >= start:
-            values = entering.setdefault(closed.position[index], {})
-            for fault in here:
-                values[fault.site.variable] = fault_value(fault)
     steps = closed.steps
-    for pos in range(start, len(steps)):
-        step = steps[pos]
-        index, target, _, source, reads, nominal = step
-        front = changed
-        if entering and pos in entering:
-            changed = {**changed, **entering[pos]}
+    for index in range(start, len(steps)):
+        step = steps[index]
+        target, _, source, reads, nominal = step
         here = data.get(index)
-        if here is not None:
+        if here is not None and source is not None:
             value = closed._reclose_step(apply_faults(source, here), reads, changed)
         elif changed and not reads.isdisjoint(changed):
             value = closed._reclose_step(source, reads, changed)
         else:
             value = nominal
-        yield step, front, value
-        if target is not None and value is not nominal:
+        yield step, changed, value
+        if here is not None and source is None:  # faulted inputs enter
+            changed = {**changed, **{f.site.variable: fault_value(f) for f in here}}
+        elif target is not None and value is not nominal:
             changed = {**changed, target: value}
 
 
@@ -234,12 +221,12 @@ def run_symbolic(closed: ClosedProgram, rewriter: Rewriter,
     check as soon as it is built; the first provable abort ends the run, and
     the result is normalized only when every check passed.
 
-    ``trail`` holds the walk states in front of steps 0..p of an earlier run
-    whose faults agree with ``faults`` before step p.  The run resumes in
-    front of step p from the last of them and appends the state in front of
-    each later step it reaches, the step where it stops included, also when
-    the rewriter raises.  An empty trail (the default) starts at step 0 with
-    nothing changed.
+    ``trail`` holds the walk states in front of statements 0..p of an
+    earlier run whose faults agree with ``faults`` before statement p.  The
+    run resumes in front of p from the last of them and appends the state in
+    front of each later statement it reaches, the one where it stops
+    included, also when the rewriter raises.  An empty trail (the default)
+    starts at statement 0 with nothing changed.
 
     A check-outcome fault zeroed skips its abort (recorded as a warning); a
     randomized one always fires it.
@@ -256,11 +243,9 @@ def run_symbolic(closed: ClosedProgram, rewriter: Rewriter,
     changed, warnings = trail.pop() if trail else ({}, ())
     for step, front, term in _walk(closed, faults, len(trail), changed):
         trail.append((front, warnings))
-        if step.target is not None:
-            continue
         k = step.check
-        if k is None:  # the walk ends with the result
-            break
+        if k is None:  # a declaration, an assignment or the closing return
+            continue
         kind = faults.checks.get(k)
         if kind == ZEROING:
             warnings += (f"check {k} skipped by a zeroed condition",)

@@ -82,3 +82,24 @@ def test_inlining_soundness(corpus_programs):
             status, value = eval_program(prog, env)
             assert status == "ok", f"{name} aborted numerically"
             assert eval_expr(u.result, env) == value
+
+
+def test_trail_holds_one_state_per_statement(corpus_programs):
+    from modfault import nominal_run
+    for name, prog in corpus_programs.items():
+        trail = []
+        nominal_run(ClosedProgram(prog), trail=trail)
+        assert len(trail) == len(prog.statements), name
+
+
+def test_input_fault_enters_at_its_declaration(corpus_programs):
+    from modfault.faults import Fault, FaultSite, ZEROING, inject
+    prog = corpus_programs["vigilant-fixed"]
+    assert "M" in prog.statements[0].names
+    vec = (Fault(FaultSite("permanent", 0, variable="M"), ZEROING),)
+    trail = []
+    run_symbolic(ClosedProgram(prog), Rewriter(primes=prog.prime_names()),
+                 inject(prog, vec), trail)
+    (before, _), (after, _) = trail[:2]
+    assert "M" not in before
+    assert after["M"] == Zero()
