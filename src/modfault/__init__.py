@@ -24,7 +24,7 @@ from .oracle import (
     instantiate, prop1_check,
 )
 from .parser import parse, parse_cond, parse_expr
-from .printer import pretty, pretty_cond, pretty_expr
+from .printer import pretty, pretty_expr
 from .reporting import render, report_dict
 from .rewriter import (
     RewriteBudget, RewriteBudgetExceeded, Rewriter,

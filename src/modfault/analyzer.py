@@ -16,7 +16,7 @@ from .faults import (
     FaultConfig, FaultVector, Injection, enumerate_sites, enumerate_vectors,
     fresh_name_base, inject,
 )
-from .printer import pretty_cond, pretty_expr
+from .printer import pretty_expr
 from .rewriter import Rewriter, RewriteBudgetExceeded, degenerate_moduli
 from .terms import And, Cond, Expr, Or, Program, Verify
 
@@ -82,12 +82,12 @@ def _satisfied_branch(bound: Cond, template: Cond, rewriter: Rewriter) -> str:
         for b, t in ((bound.lhs, template.lhs), (bound.rhs, template.rhs)):
             if isinstance(b, (And, Or)):
                 return _satisfied_branch(b, t, rewriter)
-        return pretty_cond(template)
+        return pretty_expr(template)
     if isinstance(bound, Or):
         if rewriter.decide(bound.lhs):
             return _satisfied_branch(bound.lhs, template.lhs, rewriter)
         return _satisfied_branch(bound.rhs, template.rhs, rewriter)
-    return pretty_cond(template)
+    return pretty_expr(template)
 
 
 def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,

@@ -10,6 +10,8 @@ from .terms import (
 
 # Binding strength of each node as produced by the parser; a child is
 # parenthesised when it binds no tighter than its context requires.
+_LEVEL_LOGIC = -2  # /\ and \/: one level, left associative
+_LEVEL_CMP = -1
 _LEVEL_MOD = 0
 _LEVEL_ADD = 1
 _LEVEL_MUL = 2
@@ -18,6 +20,10 @@ _LEVEL_ATOM = 4
 
 
 def _level(e: Expr) -> int:
+    if isinstance(e, (And, Or)):
+        return _LEVEL_LOGIC
+    if isinstance(e, Cond):
+        return _LEVEL_CMP
     if isinstance(e, Mod):
         return _LEVEL_MOD
     if isinstance(e, Sum):
@@ -30,6 +36,7 @@ def _level(e: Expr) -> int:
 
 
 def pretty_expr(e: Expr) -> str:
+    """Render any term node, an expression or a condition."""
     text = _render(e)
     if e.protected:
         return "{" + text + "}"
@@ -63,7 +70,19 @@ def _render(e: Expr) -> str:
         return " ".join(parts)
     if isinstance(e, Mod):
         return _child(e.body, _LEVEL_ADD) + " mod " + _child(e.modulus, _LEVEL_ADD)
-    raise TypeError(f"not an expression: {e!r}")
+    if isinstance(e, Eq):
+        return f"{pretty_expr(e.lhs)} = {pretty_expr(e.rhs)}"
+    if isinstance(e, Neq):
+        return f"{pretty_expr(e.lhs)} != {pretty_expr(e.rhs)}"
+    if isinstance(e, EqMod):
+        return f"{pretty_expr(e.lhs)} =[{pretty_expr(e.modulus)}] {pretty_expr(e.rhs)}"
+    if isinstance(e, NeqMod):
+        return f"{pretty_expr(e.lhs)} !=[{pretty_expr(e.modulus)}] {pretty_expr(e.rhs)}"
+    if isinstance(e, (And, Or)):
+        # an operand that is itself /\ or \/ is always parenthesised
+        op = " /\\ " if isinstance(e, And) else " \\/ "
+        return _child(e.lhs, _LEVEL_CMP) + op + _child(e.rhs, _LEVEL_CMP)
+    raise TypeError(f"not a term: {e!r}")
 
 
 def _child(e: Expr, min_level: int) -> str:
@@ -75,44 +94,12 @@ def _child(e: Expr, min_level: int) -> str:
     return text
 
 
-def pretty_cond(c: Cond) -> str:
-    text = _render_cond(c)
-    if c.protected:
-        return "{" + text + "}"
-    return text
-
-
-def _render_cond(c: Cond) -> str:
-    if isinstance(c, Eq):
-        return f"{pretty_expr(c.lhs)} = {pretty_expr(c.rhs)}"
-    if isinstance(c, Neq):
-        return f"{pretty_expr(c.lhs)} != {pretty_expr(c.rhs)}"
-    if isinstance(c, EqMod):
-        return f"{pretty_expr(c.lhs)} =[{pretty_expr(c.modulus)}] {pretty_expr(c.rhs)}"
-    if isinstance(c, NeqMod):
-        return f"{pretty_expr(c.lhs)} !=[{pretty_expr(c.modulus)}] {pretty_expr(c.rhs)}"
-    if isinstance(c, And):
-        return f"{_cond_operand(c.lhs)} /\\ {_cond_operand(c.rhs)}"
-    if isinstance(c, Or):
-        return f"{_cond_operand(c.lhs)} \\/ {_cond_operand(c.rhs)}"
-    raise TypeError(f"not a condition: {c!r}")
-
-
-def _cond_operand(c: Cond) -> str:
-    text = pretty_cond(c)
-    if isinstance(c, (And, Or)) and not c.protected:
-        return f"({text})"
-    return text
-
-
 def _decl_names(names, flags) -> str:
     return ", ".join("{" + n + "}" if f else n for n, f in zip(names, flags))
 
 
 def pretty(item) -> str:
-    """Render a Program, Expr or Cond back to parseable source text."""
-    if isinstance(item, Cond):  # before Expr: conditions are term nodes too
-        return pretty_cond(item)
+    """Render a Program or any term node back to parseable source text."""
     if isinstance(item, Expr):
         return pretty_expr(item)
     if not isinstance(item, Program):
@@ -126,11 +113,11 @@ def pretty(item) -> str:
         elif isinstance(st, Assign):
             lines.append(f"{st.target} := {pretty_expr(st.rhs)} ;")
         elif isinstance(st, Verify):
-            lines.append(f"if {pretty_cond(st.condition)} "
+            lines.append(f"if {pretty_expr(st.condition)} "
                          f"abort with {pretty_expr(st.abort_value)} ;")
         elif isinstance(st, Return):
             lines.append(f"return {pretty_expr(st.value)} ;")
     lines.append("")
-    lines.append(pretty_cond(item.attack_condition))
+    lines.append(pretty_expr(item.attack_condition))
     lines.append("")
     return "\n".join(lines)

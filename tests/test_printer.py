@@ -66,8 +66,8 @@ def conds():
 @given(conds())
 @settings(max_examples=300)
 def test_cond_roundtrip(c):
-    from modfault import parse_cond, pretty_cond
-    assert parse_cond(pretty_cond(c)) == c
+    from modfault import parse_cond
+    assert parse_cond(pretty_expr(c)) == c
 
 
 def test_grammar_mapping_example():
