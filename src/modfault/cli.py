@@ -128,7 +128,11 @@ def cmd_oracle(args) -> int:
         if not env.p or not env.q:
             print("error: the gcd attack check needs two prime inputs", file=sys.stderr)
             return 1
-        successes, trials = prop1_check(env, args.trials, args.seed)
+        try:
+            successes, trials = prop1_check(env, args.trials, args.seed)
+        except OracleError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         ok = successes >= trials - 1
         print(f"gcd factor recovery: {'pass' if ok else 'FAIL'} "
               f"({successes}/{trials} faulted signatures exposed a factor)")

@@ -286,6 +286,10 @@ def crt_signature(env: ConcreteEnv, sp: int, sq: int) -> int:
 def prop1_check(env: ConcreteEnv, trials: int, seed: int = 0) -> Tuple[int, int]:
     """The gcd attack at toy scale: faulting one half of an unprotected CRT
     signature exposes a prime factor.  Returns (successes, trials)."""
+    missing = [name for name in ("M", "e") if name not in env.values]
+    if missing:
+        raise OracleError(f"the gcd attack check needs the inputs M and e; "
+                          f"missing: {', '.join(missing)}")
     rng = random.Random(seed)
     p, q = env.p, env.q
     n = p * q

@@ -106,6 +106,15 @@ def test_console_script_installed():
     assert _run_cli("parse", UNPROTECTED).returncode == 0
 
 
+def test_gcd_check_without_message_input_maps_to_exit_1(tmp_path):
+    src = tmp_path / "no-message.fj"
+    src.write_text("noprop e ;\nprime {p}, {q} ;\ny := e * p ;\nreturn y ;\n_ != @\n")
+    proc = _run_cli("oracle", str(src), "--trials", "5", "--prop1")
+    assert proc.returncode == 1
+    assert "error: the gcd attack check needs the inputs M and e; missing: M" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 DEEP_EXPRESSIONS = {
     "parens": "(" * 1000 + "a" + ")" * 1000,
     "powers": "a" + " ^ a" * 2000,
