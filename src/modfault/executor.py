@@ -187,11 +187,10 @@ def _walk(closed: ClosedProgram, faults: Injection, start: int,
           changed: Dict[str, Expr]) -> Iterator[Tuple[Step, Dict[str, Expr], Expr]]:
     """The steps from statement ``start`` on under ``faults``, where the
     faults before it changed the variables in ``changed``: yields each step,
-    the changed variables in front of it and the step's closed value."""
+    the changed variables in front of it and the step's closed value (None
+    for a declaration)."""
     data = faults.data
-    steps = closed.steps
-    for index in range(start, len(steps)):
-        step = steps[index]
+    for index, step in enumerate(closed.steps[start:], start):
         target, _, source, reads, nominal = step
         here = data.get(index)
         if here is not None and source is not None:
