@@ -184,7 +184,8 @@ class ClosedProgram:
 
 
 def _walk(closed: ClosedProgram, faults: Injection, start: int,
-          changed: Dict[str, Expr]) -> Iterator[Tuple[Step, Dict[str, Expr], Expr]]:
+          changed: Dict[str, Expr]
+          ) -> Iterator[Tuple[Step, Dict[str, Expr], Optional[Expr]]]:
     """The steps from statement ``start`` on under ``faults``, where the
     faults before it changed the variables in ``changed``: yields each step,
     the changed variables in front of it and the step's closed value (None
