@@ -9,11 +9,11 @@ built ``UnrolledTerm``, every vector from its first statement.  For every
 vector of the corpus at one fault, of criterion 7 and of its 3-fault
 permanent-only twin, draining the overlay walk on one closure must give the
 same closed run as closing the rebuilt program, and the prefix tree must
-give the same outcome as the reference.
-Its rewriter calls must be the reference's without the ``decide_check``
-calls on the checks before the last fault's statement: those the vector's
-prefix already decided.  When the prefix's run ended before that statement,
-the vector makes no call at all.
+give the same outcome as the reference.  Its rewriter calls must be the
+reference's without the ``decide_check`` calls on the checks before the
+last fault's statement: those the vector's prefix already decided.  When
+the prefix's run ended before that statement, the vector makes no call at
+all.
 """
 
 from modfault import (
