@@ -26,11 +26,9 @@ from .oracle import (
 from .parser import parse, parse_cond, parse_expr
 from .printer import pretty, pretty_expr
 from .reporting import render, report_dict
-from .rewriter import (
-    RewriteBudget, RewriteBudgetExceeded, Rewriter,
-)
+from .rewriter import RewriteBudgetExceeded, Rewriter
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr,
+    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr, Fresh,
     LanguageError, Mod, Neq, NeqMod, ONE, One, Opp, Or, Pow, Prod, Program,
     Return, Sum, Var, Verify, ZERO, Zero,
 )

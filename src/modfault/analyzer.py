@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -200,7 +201,8 @@ def nominal_run(closed: ClosedProgram, rewriter: Optional[Rewriter] = None,
 
 def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
             source: bytes = b"", jobs: int = 1) -> Report:
-    """Simulate every fault vector of the model and classify each outcome."""
+    """Simulate every fault vector of the model and classify each outcome, in
+    at most ``jobs`` processes and no more than there are cores or vectors."""
     start = time.monotonic()
     rewriter = Rewriter(primes=program.prime_names())
     closed = ClosedProgram(program)
@@ -208,9 +210,10 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
     nominal = nominal_run(closed, rewriter, trail)
     sites = enumerate_sites(program, cfg)
     vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
-    if jobs > 1 and len(vectors) > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(vectors))
+    if workers > 1:
         with multiprocessing.Pool(
-                jobs, initializer=_init_worker,
+                workers, initializer=_init_worker,
                 initargs=(program, nominal, trail, cfg.max_faults)) as pool:
             outcomes = pool.map(_worker, vectors, chunksize=64)
     else:

@@ -60,6 +60,9 @@ def cmd_analyze(args) -> int:
             print(f"error: unknown format {fmt!r}; choose from {', '.join(FORMATS)}",
                   file=sys.stderr)
             return 1
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 1
     program, source = _load(args.file)
     try:
         cfg = FaultConfig(
@@ -76,7 +79,7 @@ def cmd_analyze(args) -> int:
         report = analyze(program, cfg, path=args.file, source=source,
                          jobs=args.jobs)
     except (EnumerationCapExceeded, AnalysisError, RewriteBudgetExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {args.file}: {err}", file=sys.stderr)
         return 1
     name = Path(args.file).stem
     outdir = Path(args.out) if args.out else None
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="DIR",
                    help="directory for json/html report files")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="K",
-                   help="parallel workers (default: logical core count)")
+                   help="parallel workers, capped by cores and vectors (default: core count)")
     p.add_argument("--max-vectors", type=int, default=5_000_000, metavar="CAP",
                    help="hard cap on enumerated fault vectors")
     p.set_defaults(func=cmd_analyze)

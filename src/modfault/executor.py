@@ -3,7 +3,7 @@ computation.
 
 Assigned variables are fully inlined so rewrite rules can match structurally
 (the subring collapse must see p inside p' = p*r*r, for instance).  Only
-noprop/prime inputs and fresh fault variables remain free.
+noprop/prime inputs and fault variables (``Fresh`` nodes) remain free.
 
 A program is closed once, into a ``ClosedProgram``: one step per statement,
 holding its protection-stripped source term, the variables that term reads
@@ -252,7 +252,7 @@ def run_symbolic(closed: ClosedProgram, rewriter: Rewriter,
             continue
         if kind == RANDOMIZING:
             return SymbolicRun(k, None, warnings)
-        verdict = rewriter.decide_check(term, faults.fresh)
+        verdict = rewriter.decide_check(term)
         if verdict == TRUE:
             return SymbolicRun(k, None, warnings)
         if verdict == UNKNOWN:

@@ -8,10 +8,10 @@ conditions can additionally have their comparison outcome faulted: zeroed, it
 skips the abort; randomized, it always fires it.
 
 ``inject`` never rebuilds the program: it returns the vector as an overlay
-(data faults by statement, check-outcome faults by check index, fresh
-names), and ``apply_faults`` gives one statement's term under its data
-faults.  ``executor.run_symbolic`` and ``oracle.eval_program`` apply the
-overlay while they walk the program.
+(data faults by statement, check-outcome faults by check index), and
+``apply_faults`` gives one statement's term under its data faults.
+``executor.run_symbolic`` and ``oracle.eval_program`` apply the overlay
+while they walk the program.
 
 Protected source regions (curly braces) contribute no sites: a protected
 declaration or a wholly protected right-hand side models an input that the
@@ -21,15 +21,16 @@ transient-faultable (a bus copy is not the stored master value).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Or, Program, Return,
-    Statement, Var, Verify, ZERO, replace_at, subterm_at,
+    And, Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Fresh, Or, Program,
+    Return, Statement, Verify, ZERO, replace_at, subterm_at,
 )
 
 ZEROING = "zeroing"
@@ -164,19 +165,21 @@ def fresh_name_base(program: Program) -> str:
 
 def enumerate_vectors(sites: Sequence[FaultSite], cfg: FaultConfig,
                       fresh_base: str = "f") -> Iterator[FaultVector]:
-    """All vectors of 1..max_faults distinct sites, each with each allowed kind."""
+    """All vectors of 1..max_faults distinct sites, each with each allowed
+    kind; the vectors share one ``Fault`` object per distinct fault."""
     total = count_vectors(len(sites), cfg)
     if total > cfg.max_vectors:
         raise EnumerationCapExceeded(
             f"{total} fault vectors exceed the cap of {cfg.max_vectors}; "
             f"raise --max-vectors explicitly to proceed")
     kinds = tuple(k for k in KIND_ORDER if k in cfg.kinds)
+    fault = functools.cache(lambda i, kind, name: Fault(sites[i], kind, name))
     for k in range(1, cfg.max_faults + 1):
         for combo in itertools.combinations(range(len(sites)), k):
             for assignment in itertools.product(kinds, repeat=k):
                 counter = itertools.count(1)
                 yield tuple(
-                    Fault(sites[i], kind,
+                    fault(i, kind,
                           f"{fresh_base}{next(counter)}" if kind == RANDOMIZING else None)
                     for i, kind in zip(combo, assignment))
 
@@ -187,13 +190,11 @@ class Injection:
 
     ``data`` holds each statement's data faults (permanent and transient),
     keyed by statement index; ``checks`` the kind of each fault on a
-    verification's outcome, keyed by check index; ``fresh`` the fault
-    variables the data faults introduce.  ``executor.run_symbolic`` and
-    ``oracle.eval_program`` apply it statement by statement."""
+    verification's outcome, keyed by check index.  ``executor.run_symbolic``
+    and ``oracle.eval_program`` apply it statement by statement."""
     program: Program
     data: Dict[int, Tuple[Fault, ...]]
     checks: Dict[int, str]
-    fresh: FrozenSet[str]
 
 
 def inject(program: Program, vector: FaultVector) -> Injection:
@@ -208,14 +209,12 @@ def inject(program: Program, vector: FaultVector) -> Injection:
             data[site.statement] = data.get(site.statement, ()) + (fault,)
         else:
             raise ValueError(f"unknown fault scope: {site.scope}")
-    fresh = frozenset(f.fresh_name for f in vector
-                      if f.fresh_name and f.site.scope != "check")
-    return Injection(program, data, checks, fresh)
+    return Injection(program, data, checks)
 
 
 def fault_value(fault: Fault) -> Expr:
-    """The value a data fault forces: zero or its fresh variable."""
-    return ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
+    """The value a data fault forces: zero or its ``Fresh`` variable."""
+    return ZERO if fault.kind == ZEROING else Fresh(fault.fresh_name)
 
 
 def _apply_order(fault: Fault):

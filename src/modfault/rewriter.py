@@ -24,22 +24,22 @@ Deciding comes in two flavours.  ``decide`` (attack conditions) is
 two-valued: equalities hold only when proven, inequalities hold unless
 equality is proven.  ``decide_check`` (verifications) is three-valued: an
 abort is only claimed when the residual difference is *generically* nonzero.
-A nonzero residual whose fault-variable occurrences all sit under a power
-that itself carries a multiplicative cofactor stays ``unknown`` and the check
-is passed through: such a deviation can be annihilated for corner-case
-instantiations of the key material, so claiming detection would make the
-safety verdict unsound.
+Fault variables are the ``Fresh`` nodes of the condition, so a verdict
+depends on the condition alone.  A nonzero residual whose fault-variable
+occurrences all sit under a power that itself carries a multiplicative
+cofactor stays ``unknown`` and the check is passed through: such a deviation
+can be annihilated for corner-case instantiations of the key material, so
+claiming detection would make the safety verdict unsound.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .terms import (
-    And, Cond, Eq, EqMod, Expr, Mod, Neq, NeqMod, ONE, One, Opp, Or, Pow,
-    Prod, Sum, Var, ZERO, Zero, sort_key, walk,
+    And, Cond, Eq, EqMod, Expr, Fresh, Mod, Neq, NeqMod, ONE, One, Opp, Or,
+    Pow, Prod, Sum, Var, ZERO, Zero, sort_key, walk,
 )
 # Unused here, but kept bound: the benchmark's tracer patches this name.
 from .terms import strip_protection  # noqa: F401
@@ -53,26 +53,22 @@ class RewriteBudgetExceeded(Exception):
     """Normalization exceeded its step budget instead of silently giving up."""
 
 
-@dataclass
-class RewriteBudget:
-    max_steps: int = 100_000
-
-
 class Rewriter:
     """Shared rewrite engine; pure, so one instance may serve many analyses.
 
-    ``primes`` are the names declared with the ``prime`` keyword; fresh fault
-    variables have no properties at all and never take part in a theorem.
+    ``primes`` are the names declared with the ``prime`` keyword; fault
+    variables (``Fresh`` nodes) have no properties at all and never take
+    part in a theorem.
 
-    The budget bounds each public call's unshared steps: a memoized normal
+    ``max_steps`` bounds each public call's unshared steps: a memoized normal
     form charges the steps its computation took, so whether a call exceeds
     the budget does not depend on what earlier calls left in the memo, and
     verdicts do not depend on the order in which vectors are analyzed.
     """
 
-    def __init__(self, primes: Iterable[str] = (), budget: Optional[RewriteBudget] = None):
+    def __init__(self, primes: Iterable[str] = (), max_steps: int = 100_000):
         self.primes = frozenset(primes)
-        self.budget = budget or RewriteBudget()
+        self.max_steps = max_steps
         self._steps = 0
         self._memo = {}
 
@@ -87,17 +83,15 @@ class Rewriter:
         self._steps = 0
         return self._decide(c)
 
-    def decide_check(self, c: Cond, fresh: FrozenSet[str]) -> str:
+    def decide_check(self, c: Cond) -> str:
         """Three-valued deciding for verification conditions.
 
-        Verdicts share the normal-form memo, keyed by the condition and the
-        fault variables: one condition can be unknown with a fault variable
-        and provably true without it."""
-        key = (c, fresh)
-        verdict = self._memo.get(key)
+        Verdicts share the normal-form memo, keyed by the condition, which
+        holds its fault variables as ``Fresh`` nodes."""
+        verdict = self._memo.get(c)
         if verdict is None:
             self._steps = 0
-            verdict = self._memo[key] = self._decide_check(c, fresh)
+            verdict = self._memo[c] = self._decide_check(c)
         return verdict
 
     # -- normalization ------------------------------------------------------
@@ -107,9 +101,9 @@ class Rewriter:
         hit = self._memo.get(key)
         start = self._steps
         self._steps += 1 if hit is None else hit[1]
-        if self._steps > self.budget.max_steps:
+        if self._steps > self.max_steps:
             raise RewriteBudgetExceeded(
-                f"rewrite budget of {self.budget.max_steps} steps exceeded")
+                f"rewrite budget of {self.max_steps} steps exceeded")
         if hit is not None:
             return hit[0]
         result = self._norm_dispatch(e, ctx)
@@ -381,29 +375,29 @@ class Rewriter:
 
     # -- three-valued check deciding ----------------------------------------
 
-    def _decide_check(self, c: Cond, fresh: FrozenSet[str]) -> str:
+    def _decide_check(self, c: Cond) -> str:
         if isinstance(c, And):
-            left = self._decide_check(c.lhs, fresh)
+            left = self._decide_check(c.lhs)
             if left == FALSE:
                 return FALSE
-            right = self._decide_check(c.rhs, fresh)
+            right = self._decide_check(c.rhs)
             if right == FALSE:
                 return FALSE
             if left == TRUE and right == TRUE:
                 return TRUE
             return UNKNOWN
         if isinstance(c, Or):
-            left = self._decide_check(c.lhs, fresh)
+            left = self._decide_check(c.lhs)
             if left == TRUE:
                 return TRUE
-            right = self._decide_check(c.rhs, fresh)
+            right = self._decide_check(c.rhs)
             if right == TRUE:
                 return TRUE
             if left == FALSE and right == FALSE:
                 return FALSE
             return UNKNOWN
         if isinstance(c, (EqMod, NeqMod)):
-            holds = self._check_congruence(c.lhs, c.rhs, c.modulus, fresh)
+            holds = self._check_congruence(c.lhs, c.rhs, c.modulus)
             return holds if isinstance(c, EqMod) else _negate3(holds)
         if isinstance(c, (Eq, Neq)):
             a = self._norm(c.lhs, None)
@@ -412,12 +406,11 @@ class Rewriter:
                 holds = TRUE
             else:
                 delta = self._norm(Sum((a, self._mk_opp(b))), None)
-                holds = FALSE if self._generically_nonzero(delta, fresh) else UNKNOWN
+                holds = FALSE if self._generically_nonzero(delta) else UNKNOWN
             return holds if isinstance(c, Eq) else _negate3(holds)
         raise TypeError(f"not a condition: {c!r}")
 
-    def _check_congruence(self, lhs: Expr, rhs: Expr, modulus: Expr,
-                          fresh: FrozenSet[str]) -> str:
+    def _check_congruence(self, lhs: Expr, rhs: Expr, modulus: Expr) -> str:
         """Three-valued congruence for verifications, decided per CRT
         component: cofactors that cancel in a subring (e.g. a blinding factor
         congruent to 1 mod r^2) must not mask a fault there."""
@@ -430,7 +423,7 @@ class Rewriter:
             if delta == ZERO:
                 continue
             all_zero = False
-            if self._generically_nonzero(self._drop_invertible_cofactors(delta, g), fresh):
+            if self._generically_nonzero(self._drop_invertible_cofactors(delta, g)):
                 any_fires = True
         if all_zero:
             return TRUE
@@ -465,7 +458,7 @@ class Rewriter:
             rebuilt.append(self._rebuild_product(f - units, neg))
         return self._norm(Mod(Sum(tuple(rebuilt)), g), None)
 
-    def _generically_nonzero(self, delta: Expr, fresh: FrozenSet[str]) -> bool:
+    def _generically_nonzero(self, delta: Expr) -> bool:
         """Detection genericity: may we claim this nonzero residual fires a check?
 
         Yes when the residual is fault-free (a structural deviation), when a
@@ -479,9 +472,7 @@ class Rewriter:
         """
         if delta == ZERO:
             return False
-        if not fresh:
-            return True
-        scan = _FreshScan(fresh)
+        scan = _FreshScan()
         scan.visit(delta, in_prod=False, in_pow=False)
         if not scan.occurrences:
             return True  # no fault variable occurs at all
@@ -507,25 +498,22 @@ class _FreshScan:
     in_modulus: inside the modulus operand of some reduction.
     """
 
-    def __init__(self, fresh: FrozenSet[str]):
-        self.fresh = fresh
+    def __init__(self):
         self.occurrences = 0
         self.transparent = False
         self.opaque = False
         self.in_modulus = False
 
     def visit(self, e: Expr, in_prod: bool, in_pow: bool):
-        if isinstance(e, Var):
-            if e.name in self.fresh:
-                self.occurrences += 1
-                if in_pow and in_prod:
-                    self.opaque = True
-                else:
-                    self.transparent = True
+        if isinstance(e, Fresh):
+            self.occurrences += 1
+            if in_pow and in_prod:
+                self.opaque = True
+            else:
+                self.transparent = True
             return
         if isinstance(e, Mod):
-            if any(isinstance(n, Var) and n.name in self.fresh
-                   for n in walk(e.modulus)):
+            if any(isinstance(n, Fresh) for n in walk(e.modulus)):
                 self.occurrences += 1
                 self.in_modulus = True
             self.visit(e.body, in_prod, in_pow)

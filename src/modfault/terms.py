@@ -148,6 +148,13 @@ class Var(Expr):
     _rank = 2
 
 
+class Fresh(Var):
+    """A fault variable: a randomizing fault's value, with no properties.  It
+    sorts and prints as the ``Var`` of its name, which
+    ``faults.fresh_name_base`` keeps apart from the program's names."""
+    __slots__ = ()
+
+
 class Opp(Expr):
     __slots__ = _fields = ("arg",)
     _shape = "fixed"

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from modfault import analyzer
 from modfault import (
-    ATTACK, DETECTED, FAILURE, HARMLESS, ClosedProgram, FaultConfig,
-    RewriteBudget, Rewriter, analyze, classify, count_vectors,
-    enumerate_sites, enumerate_vectors, nominal_run, parse,
+    ATTACK, DETECTED, FAILURE, HARMLESS, ClosedProgram, FaultConfig, Rewriter,
+    analyze, classify, count_vectors, enumerate_sites, enumerate_vectors,
+    nominal_run, parse,
 )
 from modfault.analyzer import _PrefixTree, removed_check_variants
 from modfault.executor import SymbolicRun
@@ -127,6 +128,41 @@ def test_parallel_matches_sequential(corpus_programs):
     assert seq == par
 
 
+def test_workers_are_capped_by_cores_and_vectors(corpus_programs, monkeypatch):
+    # a pool that records its size and maps in this process: no process is
+    # started, however many jobs are asked for
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(analyzer.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(analyzer, "_WORKER_STATE", {})
+    monkeypatch.setattr(analyzer.os, "cpu_count", lambda: 3)
+    prog = corpus_programs["unprotected"]
+    cfg = FaultConfig(max_faults=1, kinds=(ZEROING,))
+    seq = report_dict(analyze(prog, cfg, jobs=1))
+    assert sizes == []
+    par = report_dict(analyze(prog, cfg, jobs=10 ** 9))
+    assert sizes == [3]  # one worker per core
+    seq.pop("duration_ms"), par.pop("duration_ms")
+    assert seq == par
+    two = parse("noprop x ; return x ; _ != @")  # two zeroing vectors
+    assert analyze(two, FaultConfig(kinds=(ZEROING,)), jobs=10 ** 9).summary["total"] == 2
+    assert sizes == [3, 2]  # one worker per vector
+
+
 def _tree_outcomes(prog, vectors, rewriter, depth):
     """Each vector's outcome from a fresh prefix tree that has analyzed only
     the nominal run, in the given order."""
@@ -144,11 +180,9 @@ def test_verdicts_do_not_depend_on_vector_order(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
     cfg = FaultConfig(max_faults=1)
     vectors = list(enumerate_vectors(enumerate_sites(prog, cfg), cfg))
-    budget = RewriteBudget(max_steps=2000)
-
     def outcomes(order):
         return _tree_outcomes(prog, order, Rewriter(primes=prog.prime_names(),
-                                                    budget=budget), 1)
+                                                    max_steps=2000), 1)
 
     expected = outcomes(vectors)
     assert sum(o.kind == FAILURE for o in expected.values()) == 56

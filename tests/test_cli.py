@@ -91,6 +91,12 @@ def test_bad_format_is_rejected_before_analysis(monkeypatch, capsys):
     assert "unknown format 'jsn'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_maps_to_exit_1(capsys, jobs):
+    assert main(["analyze", UNPROTECTED, "--jobs", jobs]) == 1
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
 def test_max_vectors_cap(capsys):
     assert main(["analyze", UNPROTECTED, "--faults", "3", "--jobs", "1",
                  "--max-vectors", "10"]) == 1
@@ -112,6 +118,15 @@ def test_gcd_check_without_message_input_maps_to_exit_1(tmp_path):
     proc = _run_cli("oracle", str(src), "--trials", "5", "--prop1")
     assert proc.returncode == 1
     assert "error: the gcd attack check needs the inputs M and e; missing: M" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_nominal_abort_names_the_file(tmp_path):
+    src = tmp_path / "self-abort.fj"
+    src.write_text("noprop x ;\nif x != 0 abort with x ;\nreturn x ;\n_ != @\n")
+    proc = _run_cli("analyze", str(src), "--jobs", "1")
+    assert proc.returncode == 1
+    assert f"error: {src}: nominal run" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

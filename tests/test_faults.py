@@ -10,7 +10,9 @@ from modfault import (
 from modfault.analyzer import _PrefixTree
 from modfault.faults import Fault, FaultSite, apply_faults, fresh_name_base
 from modfault.oracle import eval_program, instantiate
-from modfault.terms import Prod, Var, Verify, Zero, free_vars, subterm_at, walk
+from modfault.terms import (
+    Fresh, Prod, Var, Verify, Zero, free_vars, subterm_at, walk,
+)
 
 
 def _permanent_vars(sites):
@@ -93,6 +95,24 @@ def test_enumeration_is_deterministic(corpus_programs):
     assert va == vb
 
 
+def test_vectors_share_each_distinct_fault(corpus_programs):
+    prog = corpus_programs["unprotected"]
+    cfg = FaultConfig(max_faults=2, transient_enabled=False)
+    sites = enumerate_sites(prog, cfg)
+    vectors = list(enumerate_vectors(sites, cfg))
+    # the first randomizing fault on site 0 opens one vector per later site
+    # and kind, and each holds the same object for it
+    first = [v[0] for v in vectors
+             if len(v) == 2 and v[0] == Fault(sites[0], RANDOMIZING, "f1")]
+    assert len(first) == 2 * (len(sites) - 1)
+    assert all(f is first[0] for f in first)
+    # and so does every other fault: one object per distinct fault
+    distinct = {}
+    for vector in vectors:
+        for fault in vector:
+            assert distinct.setdefault(fault, fault) is fault
+
+
 def test_enumeration_cap():
     sites = [FaultSite("permanent", i, variable=f"v{i}") for i in range(30)]
     cfg = FaultConfig(max_faults=3, max_vectors=100)
@@ -119,20 +139,19 @@ def test_permanent_randomizing_rewrites_definition(corpus_programs):
     faults = inject(prog, vec)
     assert faults.data == {sp_stmt: vec}
     # Sp closes to the fresh variable, which every later read sees
-    assert apply_faults(prog.statements[sp_stmt].rhs, faults.data[sp_stmt]) == Var("f1")
-    assert "f1" in faults.fresh
-    assert "f1" in free_vars(inline(faults).result)
+    assert apply_faults(prog.statements[sp_stmt].rhs, faults.data[sp_stmt]) == Fresh("f1")
+    assert Fresh("f1") in walk(inline(faults).result)
 
 
 def test_permanent_on_declaration_becomes_assignment(corpus_programs):
     prog = corpus_programs["unprotected"]
     vec = (Fault(FaultSite("permanent", 0, variable="M"), RANDOMIZING, "f1"),)
     faults = inject(prog, vec)
-    assert faults.data == {0: vec} and faults.fresh == {"f1"}
+    assert faults.data == {0: vec}
     # every read of M sees the fresh variable instead
-    result = free_vars(inline(faults).result)
+    result = inline(faults).result
     assert "M" in free_vars(inline(prog).result)
-    assert "M" not in result and "f1" in result
+    assert "M" not in free_vars(result) and Fresh("f1") in walk(result)
 
 
 def test_transient_zero_replaces_single_occurrence(corpus_programs):
@@ -145,7 +164,7 @@ def test_transient_zero_replaces_single_occurrence(corpus_programs):
         == Prod((Zero(), Var("q")))
     # every other statement untouched
     assert list(faults.data) == [n_stmt]
-    assert faults.fresh == frozenset()
+    assert not any(isinstance(n, Fresh) for n in walk(inline(faults).result))
 
 
 def test_check_fault_is_a_run_overlay(corpus_programs):
@@ -165,8 +184,9 @@ def test_check_fault_is_a_run_overlay(corpus_programs):
         rand = (Fault(site, RANDOMIZING, "f1"),)
         for vector in (zero, rand):
             faults = inject(prog, vector)
-            # no data fault, and no fresh name for a randomized outcome
-            assert faults.data == {} and faults.fresh == frozenset()
+            # no data fault, and no fresh variable for a randomized outcome:
+            # the run closes as the nominal one
+            assert faults.data == {} and closed.inline(faults) == closed.inline()
             assert faults.checks == {k: vector[0].kind}
         skipped = tree.outcome(zero)
         assert skipped.detected_by is None

@@ -17,8 +17,8 @@ all.
 """
 
 from modfault import (
-    ClosedProgram, FaultConfig, RANDOMIZING, Rewriter, RewriteBudget,
-    RewriteBudgetExceeded, ZEROING, classify, enumerate_sites, enumerate_vectors, inject, inline,
+    ClosedProgram, FaultConfig, RANDOMIZING, Rewriter, RewriteBudgetExceeded,
+    ZEROING, classify, enumerate_sites, enumerate_vectors, inject, inline,
     nominal_run,
 )
 from modfault.analyzer import FAILURE, Outcome, _PrefixTree
@@ -26,7 +26,7 @@ from modfault.executor import SymbolicRun
 from modfault.faults import _operand_paths, fresh_name_base
 from modfault.rewriter import TRUE, UNKNOWN
 from modfault.terms import (
-    Assign, DeclareNoProp, Program, Return, Var, Verify, ZERO, replace_at,
+    Assign, DeclareNoProp, Fresh, Program, Return, Verify, ZERO, replace_at,
 )
 
 from conftest import CRITERION_7, THREE_FAULTS_PERMANENT
@@ -48,7 +48,7 @@ def reference_inject(program, vector):
         if site.scope == "check":
             continue
         st = statements[site.statement]
-        value = ZERO if fault.kind == ZEROING else Var(fault.fresh_name)
+        value = ZERO if fault.kind == ZEROING else Fresh(fault.fresh_name)
         if site.scope == "transient":
             statements[site.statement] = _replace_in_statement(st, site.path, value)
         elif isinstance(st, Assign):
@@ -72,7 +72,7 @@ def reference_inject(program, vector):
         for name in st.names:
             f = faulted.get(name)
             if f is not None:
-                value = ZERO if f.kind == ZEROING else Var(f.fresh_name)
+                value = ZERO if f.kind == ZEROING else Fresh(f.fresh_name)
                 out.append(Assign(name, value))
     return Program(tuple(out), program.attack_condition)
 
@@ -87,7 +87,7 @@ def _replace_in_statement(st, path, value):
     return Verify(replace_at(st.condition, path, value), st.abort_value)
 
 
-def reference_run_symbolic(u, rewriter, fresh, check_faults):
+def reference_run_symbolic(u, rewriter, check_faults):
     warnings = []
     for k, check in enumerate(u.checks):
         kind = check_faults.get(k)
@@ -96,7 +96,7 @@ def reference_run_symbolic(u, rewriter, fresh, check_faults):
             continue
         if kind == RANDOMIZING:
             return SymbolicRun(k, None, tuple(warnings))
-        verdict = rewriter.decide_check(check, fresh)
+        verdict = rewriter.decide_check(check)
         if verdict == TRUE:
             return SymbolicRun(k, None, tuple(warnings))
         if verdict == UNKNOWN:
@@ -106,10 +106,8 @@ def reference_run_symbolic(u, rewriter, fresh, check_faults):
 
 def reference_analyze_vector(unrolled, program, vector, nominal, rewriter):
     check_faults = {f.site.check: f.kind for f in vector if f.site.scope == "check"}
-    fresh = frozenset(f.fresh_name for f in vector
-                      if f.fresh_name and f.site.scope != "check")
     try:
-        run = reference_run_symbolic(unrolled, rewriter, fresh, check_faults)
+        run = reference_run_symbolic(unrolled, rewriter, check_faults)
         return classify(nominal, run, program.attack_condition, rewriter)
     except RewriteBudgetExceeded as err:
         return Outcome(FAILURE, error=str(err))
@@ -130,9 +128,9 @@ class LoggingRewriter(Rewriter):
         self.calls.append(("decide", c))
         return super().decide(c)
 
-    def decide_check(self, c, fresh):
-        self.calls.append(("decide_check", c, fresh))
-        return super().decide_check(c, fresh)
+    def decide_check(self, c):
+        self.calls.append(("decide_check", c))
+        return super().decide_check(c)
 
 
 def prefix_decided_calls(program, vector, ref_calls):
@@ -147,14 +145,14 @@ def prefix_decided_calls(program, vector, ref_calls):
     return min(before, leading)
 
 
-def assert_prefix_tree_matches_reference(program, cfg, budget=None):
+def assert_prefix_tree_matches_reference(program, cfg, max_steps=100_000):
     """Sweep every vector of the model through one prefix tree and through
     the reference; return the vector count and the failures."""
     closed = ClosedProgram(program)
     primes = program.prime_names()
     nominal = nominal_run(closed, Rewriter(primes=primes))
-    new_rw = LoggingRewriter(primes=primes, budget=budget)
-    ref_rw = LoggingRewriter(primes=primes, budget=budget)
+    new_rw = LoggingRewriter(primes=primes, max_steps=max_steps)
+    ref_rw = LoggingRewriter(primes=primes, max_steps=max_steps)
     tree = _PrefixTree(closed, new_rw, nominal, cfg.max_faults)
     # the root, walked under the sweep's budget: the empty vector
     assert tree.outcome(()) == reference_analyze_vector(
@@ -216,6 +214,6 @@ def test_overlay_matches_reference_under_a_tight_budget(corpus_programs):
     # vectors left in the memo, and whether its prefix made the calls it skips
     total, failures = assert_prefix_tree_matches_reference(
         corpus_programs["vigilant-original"], FaultConfig(max_faults=1),
-        RewriteBudget(max_steps=30))
+        max_steps=30)
     assert total == 490
     assert failures  # the budget must bite for the test to mean anything

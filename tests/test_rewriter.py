@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfault import (
-    EqMod, Mod, Neq, NeqMod, One, Opp, Pow, Prod, RewriteBudget,
-    RewriteBudgetExceeded, Rewriter, Sum, Var, Zero, Eq, parse_cond,
-    parse_expr,
+    EqMod, Fresh, Mod, Neq, NeqMod, One, Opp, Pow, Prod, RewriteBudgetExceeded,
+    Rewriter, Sum, Var, Zero, Eq, parse_cond, parse_expr,
 )
 from modfault.oracle import ConcreteEnv, eval_expr
 from modfault.rewriter import TRUE, UNKNOWN
@@ -136,7 +135,7 @@ def test_same_base_power_merging(rw):
 
 
 def test_budget_exceeded():
-    tight = Rewriter(budget=RewriteBudget(max_steps=10))
+    tight = Rewriter(max_steps=10)
     # distinct variables so memoization cannot absorb the work
     deep = pe(" + ".join(f"x{i}" for i in range(40)))
     with pytest.raises(RewriteBudgetExceeded):
@@ -197,16 +196,18 @@ def test_conditions_are_not_normalized(rw):
 @pytest.mark.parametrize("order", [(True, False), (False, True)])
 def test_check_verdicts_are_memoized_per_fault_variable_set(order):
     # A fault variable under a power with a cofactor may be annihilated for
-    # corner-case inputs (unknown); without it the residual is a structural
+    # corner-case inputs (unknown); an input there leaves a structural
     # deviation (the inequality holds).  One rewriter must give both,
     # whichever it decides first.
+    from modfault.executor import subst
     rw = Rewriter()
-    c = parse_cond("a * f1^e !=[N] a * b^e")
+    plain = parse_cond("a * f1^e !=[N] a * b^e")
+    faulted = subst(plain, {"f1": Fresh("f1")})
     expected = {True: UNKNOWN, False: TRUE}
-    for faulted in order:
-        fresh = frozenset({"f1"}) if faulted else frozenset()
-        assert rw.decide_check(c, fresh) == expected[faulted]
-    assert rw.decide_check(c, frozenset({"f1"})) == UNKNOWN
+    for is_faulted in order:
+        c = faulted if is_faulted else plain
+        assert rw.decide_check(c) == expected[is_faulted]
+    assert rw.decide_check(faulted) == UNKNOWN
 
 
 # -- property suites -----------------------------------------------------------
