@@ -113,50 +113,48 @@ def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
 class _PrefixTree:
     """The fault vectors of one analysis as a prefix tree over one walker.
 
-    A vector's run is its prefix's run (the vector without its last fault)
-    up to the statement of that last fault, statement p; the empty prefix is
-    the nominal run.  The trail holds one walk state per statement, so the
-    run resumes from ``trail[p]``, the state its prefix recorded in front of
-    p, under all of the vector's faults.  When the prefix's run ended before
-    p (a check fired or the rewrite budget ran out), the vector's outcome is
-    the prefix's: the checks before p see the same terms, and the last
-    fault's fresh name cannot occur in them.
+    The root, the empty vector, is the nominal run: the tree walks it on
+    construction, keeps it as ``nominal`` and records its trail, which holds
+    one walk state per statement.  A vector's run is its prefix's run (the
+    vector without its last fault) up to the statement of that last fault,
+    statement p, so the run resumes from ``trail[p]``, the state its prefix
+    recorded in front of p, under all of the vector's faults.  When the
+    prefix's run ended before p (a check fired or the rewrite budget ran
+    out), the vector's outcome is the prefix's: the checks before p see the
+    same terms, and the last fault's fresh name cannot occur in them.
 
     The trail and outcome of each vector shorter than ``depth``, the longest
     a prefix can be, are kept for the life of the tree.  A prefix that has
     not been analyzed yet (in a pool worker, its vector went to another
-    worker) is analyzed on demand.  ``trail``, when given, is the nominal
-    run's, made with ``rewriter``; otherwise the tree walks the nominal run
-    itself when a vector first needs it."""
+    worker) is analyzed on demand.  Equal outcomes are one object: the tree
+    returns the first of each from a table it owns."""
 
-    def __init__(self, closed: ClosedProgram, rewriter: Rewriter,
-                 nominal: SymbolicRun, depth: int,
-                 trail: Optional[List[WalkState]] = None):
+    def __init__(self, closed: ClosedProgram, rewriter: Rewriter, depth: int):
         self.closed = closed
         self.rewriter = rewriter
-        self.nominal = nominal
         self.depth = depth
-        self._records: Dict[FaultVector, Tuple[List[WalkState], Optional[Outcome]]] = {}
-        if trail is not None:
-            # a completed run reaches every step, so its outcome is never used
-            self._records[()] = (trail, None)
+        self._outcomes: Dict[Outcome, Outcome] = {}
+        trail: List[WalkState] = []
+        self.nominal = nominal_run(closed, rewriter, trail)
+        # a completed run reaches every step, so the root's outcome is never used
+        self._records: Dict[FaultVector, Tuple[List[WalkState], Optional[Outcome]]] = {
+            (): (trail, None)}
+
+    def shared(self, outcome: Outcome) -> Outcome:
+        """The tree's one object equal to ``outcome``."""
+        return self._outcomes.setdefault(outcome, outcome)
 
     def outcome(self, vector: FaultVector) -> Outcome:
-        """The outcome of a vector; the empty vector's is the nominal run's."""
-        closed = self.closed
-        if not vector:
-            trail: List[WalkState] = []
-            outcome = self._run(inject(closed.program, vector), trail)
-        else:
-            prefix = vector[:-1]
-            if prefix not in self._records:
-                self.outcome(prefix)
-            trail, outcome = self._records[prefix]
-            faults = inject(closed.program, vector)
-            resume = vector[-1].site.statement
-            if resume < len(trail):
-                trail = trail[:resume + 1]
-                outcome = self._run(faults, trail)
+        """The outcome of a non-empty vector."""
+        prefix = vector[:-1]
+        if prefix not in self._records:
+            self.outcome(prefix)
+        trail, outcome = self._records[prefix]
+        faults = inject(self.closed.program, vector)
+        resume = vector[-1].site.statement
+        if resume < len(trail):
+            trail = trail[:resume + 1]
+            outcome = self._run(faults, trail)
         if len(vector) < self.depth:
             self._records[vector] = (trail, outcome)
         return outcome
@@ -165,9 +163,10 @@ class _PrefixTree:
         program = self.closed.program
         try:
             run = run_symbolic(self.closed, self.rewriter, faults, trail)
-            return classify(self.nominal, run, program.attack_condition, self.rewriter)
+            outcome = classify(self.nominal, run, program.attack_condition, self.rewriter)
         except RewriteBudgetExceeded as err:
-            return Outcome(FAILURE, error=str(err))
+            outcome = Outcome(FAILURE, error=str(err))
+        return self.shared(outcome)
 
 
 # -- multiprocessing workers --------------------------------------------------
@@ -175,22 +174,19 @@ class _PrefixTree:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(program: Program, nominal: SymbolicRun,
-                 trail: List[WalkState], depth: int):
+def _init_worker(program: Program, depth: int):
     _WORKER_STATE["tree"] = _PrefixTree(
-        ClosedProgram(program), Rewriter(primes=program.prime_names()),
-        nominal, depth, trail)
+        ClosedProgram(program), Rewriter(primes=program.prime_names()), depth)
 
 
 def _worker(vector: FaultVector) -> Outcome:
     return _WORKER_STATE["tree"].outcome(vector)
 
 
-def nominal_run(closed: ClosedProgram, rewriter: Optional[Rewriter] = None,
+def nominal_run(closed: ClosedProgram, rewriter: Rewriter,
                 trail: Optional[List[WalkState]] = None) -> SymbolicRun:
     """The fault-free run of a closed program, which must complete; its walk
     states go to ``trail`` when one is given."""
-    rewriter = rewriter or Rewriter(primes=closed.program.prime_names())
     run = run_symbolic(closed, rewriter, trail=trail)
     if not run.completed:
         raise AnalysisError(
@@ -204,20 +200,17 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
     """Simulate every fault vector of the model and classify each outcome, in
     at most ``jobs`` processes and no more than there are cores or vectors."""
     start = time.monotonic()
-    rewriter = Rewriter(primes=program.prime_names())
-    closed = ClosedProgram(program)
-    trail: List[WalkState] = []
-    nominal = nominal_run(closed, rewriter, trail)
     sites = enumerate_sites(program, cfg)
+    depth = min(cfg.max_faults, len(sites))
+    tree = _PrefixTree(ClosedProgram(program), Rewriter(primes=program.prime_names()),
+                       depth)
     vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
     workers = min(jobs, os.cpu_count() or 1, len(vectors))
     if workers > 1:
-        with multiprocessing.Pool(
-                workers, initializer=_init_worker,
-                initargs=(program, nominal, trail, cfg.max_faults)) as pool:
-            outcomes = pool.map(_worker, vectors, chunksize=64)
+        with multiprocessing.Pool(workers, initializer=_init_worker,
+                                  initargs=(program, depth)) as pool:
+            outcomes = [tree.shared(o) for o in pool.map(_worker, vectors, chunksize=64)]
     else:
-        tree = _PrefixTree(closed, rewriter, nominal, cfg.max_faults, trail)
         outcomes = [tree.outcome(v) for v in vectors]
     results = tuple(zip(vectors, outcomes))
     duration_ms = (time.monotonic() - start) * 1000.0
@@ -225,7 +218,7 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
         path=path,
         sha256=hashlib.sha256(source).hexdigest(),
         config=cfg,
-        nominal=pretty_expr(nominal.normal_form),
+        nominal=pretty_expr(tree.nominal.normal_form),
         results=results,
         duration_ms=duration_ms,
     )

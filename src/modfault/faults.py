@@ -151,7 +151,7 @@ def enumerate_sites(program: Program, cfg: FaultConfig) -> List[FaultSite]:
 def count_vectors(n_sites: int, cfg: FaultConfig) -> int:
     k_kinds = len(cfg.kinds)
     return sum(math.comb(n_sites, k) * k_kinds ** k
-               for k in range(1, cfg.max_faults + 1))
+               for k in range(1, min(cfg.max_faults, n_sites) + 1))
 
 
 def fresh_name_base(program: Program) -> str:
@@ -174,7 +174,7 @@ def enumerate_vectors(sites: Sequence[FaultSite], cfg: FaultConfig,
             f"raise --max-vectors explicitly to proceed")
     kinds = tuple(k for k in KIND_ORDER if k in cfg.kinds)
     fault = functools.cache(lambda i, kind, name: Fault(sites[i], kind, name))
-    for k in range(1, cfg.max_faults + 1):
+    for k in range(1, min(cfg.max_faults, len(sites)) + 1):
         for combo in itertools.combinations(range(len(sites)), k):
             for assignment in itertools.product(kinds, repeat=k):
                 counter = itertools.count(1)

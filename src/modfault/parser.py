@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 from .terms import (
     And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr,
@@ -78,6 +78,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.declared: Set[str] = set()
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -288,56 +289,55 @@ class _Parser:
         while not saw_return:
             if self.peek().kind == "eof":
                 raise self.error("missing 'return' statement")
+            start = self.pos
             st = self.parse_statement()
+            self.check_statement(st, start)
             statements.append(st)
             saw_return = isinstance(st, Return)
         if self.peek().kind == "eof":
             raise self.error("missing attack success condition after return")
+        start = self.pos
         condition = self.parse_cond()
+        self.check_uses(free_vars(condition) - set(RESERVED_NAMES), "attack condition", start)
         if self.peek().kind != "eof":
             raise self.error("unexpected input after the attack success condition")
         return Program(tuple(statements), condition)
 
+    # -- names ------------------------------------------------------------
 
-def _validate(program: Program) -> None:
-    declared = set()
-    returned = False
-    for st in program.statements:
-        if returned:
-            raise LanguageError("statements after 'return'")
+    def check_statement(self, st: Statement, start: int) -> None:
+        """Check the names used and declared by ``st``, the statement parsed
+        from token ``start`` on, and declare its names."""
         if isinstance(st, (DeclareNoProp, DeclarePrime)):
-            for name in st.names:
-                if name in RESERVED_NAMES:
-                    raise LanguageError(f"reserved identifier {name!r} cannot be declared")
-                if name in declared:
-                    raise LanguageError(f"duplicate declaration of {name!r}")
-                declared.add(name)
+            for tok in self.tokens[start:self.pos]:
+                if tok.kind == "name":
+                    self.declare(tok)
         elif isinstance(st, Assign):
-            if st.target in RESERVED_NAMES:
-                raise LanguageError(f"reserved identifier {st.target!r} cannot be assigned")
-            if st.target in declared:
-                raise LanguageError(f"duplicate declaration of {st.target!r}")
-            _check_uses(free_vars(st.rhs), declared, f"assignment to {st.target!r}")
-            declared.add(st.target)
+            self.check_uses(free_vars(st.rhs), f"assignment to {st.target!r}", start + 1)
+            self.declare(self.tokens[start])
         elif isinstance(st, Verify):
-            _check_uses(free_vars(st.condition), declared, "verification")
-            _check_uses(free_vars(st.abort_value), declared, "abort value")
+            self.check_uses(free_vars(st.condition), "verification", start)
+            self.check_uses(free_vars(st.abort_value), "abort value", start)
         elif isinstance(st, Return):
-            _check_uses(free_vars(st.value), declared, "return")
-            returned = True
-    if not returned:
-        raise LanguageError("missing 'return' statement")
-    cond_vars = free_vars(program.attack_condition)
-    _check_uses(cond_vars - set(RESERVED_NAMES), declared, "attack condition")
+            self.check_uses(free_vars(st.value), "return", start)
 
+    def declare(self, tok: Token) -> None:
+        if tok.text in self.declared:
+            raise LanguageError(f"duplicate declaration of {tok.text!r}", tok.line, tok.col)
+        self.declared.add(tok.text)
 
-def _check_uses(used: set, declared: set, where: str) -> None:
-    for name in sorted(used):
-        if name in RESERVED_NAMES:
-            raise LanguageError(
-                f"reserved identifier {name!r} used outside the attack condition")
-        if name not in declared:
-            raise LanguageError(f"use of undeclared identifier {name!r} in {where}")
+    def check_uses(self, used: Set[str], where: str, start: int) -> None:
+        """Each name in ``used`` must be declared and not reserved; an error
+        is located at the name's first token from ``start`` on."""
+        for name in sorted(used):
+            if name in RESERVED_NAMES:
+                message = f"reserved identifier {name!r} used outside the attack condition"
+            elif name not in self.declared:
+                message = f"use of undeclared identifier {name!r} in {where}"
+            else:
+                continue
+            tok = next(t for t in self.tokens[start:self.pos] if t.text == name)
+            raise LanguageError(message, tok.line, tok.col)
 
 
 def parse(source: str) -> Program:
@@ -345,7 +345,6 @@ def parse(source: str) -> Program:
     parser = _Parser(tokenize(source))
     try:
         program = parser.parse_program()
-        _validate(program)
     except RecursionError:
         raise parser.error("expression nested too deeply") from None
     return program

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from modfault.analyzer import _PrefixTree, removed_check_variants
 from modfault.executor import SymbolicRun
 from modfault.faults import Fault, FaultSite, RANDOMIZING, ZEROING
 from modfault.reporting import report_dict
+
+from conftest import CRITERION_7
 
 
 def _attack_sites(report):
@@ -68,7 +71,7 @@ def test_coherent_blinding_fault_is_harmless(corpus_programs):
     vec = (Fault(FaultSite("permanent", r_decl, variable="r"), RANDOMIZING, "f1"),)
     rw = Rewriter(primes=prog.prime_names())
     closed = ClosedProgram(prog)
-    outcome = _PrefixTree(closed, rw, nominal_run(closed, rw), 1).outcome(vec)
+    outcome = _PrefixTree(closed, rw, 1).outcome(vec)
     assert outcome.kind == HARMLESS
 
 
@@ -80,7 +83,7 @@ def test_degenerate_modulus_warning(corpus_programs):
     vec = (Fault(FaultSite("permanent", n_stmt, variable="N"), ZEROING),)
     rw = Rewriter(primes=prog.prime_names())
     closed = ClosedProgram(prog)
-    outcome = _PrefixTree(closed, rw, nominal_run(closed, rw), 1).outcome(vec)
+    outcome = _PrefixTree(closed, rw, 1).outcome(vec)
     assert outcome.kind == HARMLESS
     assert any("degenerate" in w for w in outcome.warnings)
 
@@ -128,9 +131,11 @@ def test_parallel_matches_sequential(corpus_programs):
     assert seq == par
 
 
-def test_workers_are_capped_by_cores_and_vectors(corpus_programs, monkeypatch):
-    # a pool that records its size and maps in this process: no process is
-    # started, however many jobs are asked for
+def _in_process_pool(monkeypatch, cores):
+    """Patch in a pool that records its size and maps in this process, on a
+    machine with ``cores`` cores: no process is started, however many jobs
+    are asked for.  Each result is copied through pickle, as a real pool
+    sends it back.  Returns the list of pool sizes."""
     sizes = []
 
     class InProcessPool:
@@ -145,11 +150,16 @@ def test_workers_are_capped_by_cores_and_vectors(corpus_programs, monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
+            return [pickle.loads(pickle.dumps(fn(item))) for item in items]
 
     monkeypatch.setattr(analyzer.multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(analyzer, "_WORKER_STATE", {})
-    monkeypatch.setattr(analyzer.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(analyzer.os, "cpu_count", lambda: cores)
+    return sizes
+
+
+def test_workers_are_capped_by_cores_and_vectors(corpus_programs, monkeypatch):
+    sizes = _in_process_pool(monkeypatch, 3)
     prog = corpus_programs["unprotected"]
     cfg = FaultConfig(max_faults=1, kinds=(ZEROING,))
     seq = report_dict(analyze(prog, cfg, jobs=1))
@@ -163,13 +173,28 @@ def test_workers_are_capped_by_cores_and_vectors(corpus_programs, monkeypatch):
     assert sizes == [3, 2]  # one worker per vector
 
 
+def _distinct_objects(report):
+    ids = {id(o) for _, o in report.results}
+    assert len(ids) == len({o for _, o in report.results})
+    return len(ids)
+
+
+def test_equal_outcomes_are_one_object(criterion_7_report, corpus_programs,
+                                       monkeypatch):
+    # one object per distinct outcome, also when the outcomes come back from
+    # pool workers, each a copy
+    assert _distinct_objects(criterion_7_report) == 12
+    prog = corpus_programs["vigilant-fixed"]
+    assert _distinct_objects(analyze(prog, CRITERION_7, jobs=1)) == 12
+    sizes = _in_process_pool(monkeypatch, 2)
+    assert _distinct_objects(analyze(prog, CRITERION_7, jobs=2)) == 12
+    assert sizes == [2]
+
+
 def _tree_outcomes(prog, vectors, rewriter, depth):
     """Each vector's outcome from a fresh prefix tree that has analyzed only
     the nominal run, in the given order."""
-    closed = ClosedProgram(prog)
-    trail = []
-    nominal = nominal_run(closed, rewriter, trail)
-    tree = _PrefixTree(closed, rewriter, nominal, depth, trail)
+    tree = _PrefixTree(ClosedProgram(prog), rewriter, depth)
     return {vector: tree.outcome(vector) for vector in vectors}
 
 

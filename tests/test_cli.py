@@ -82,6 +82,21 @@ def test_zero_faults_maps_to_exit_1(capsys):
     assert "max_faults must be >= 1" in capsys.readouterr().err
 
 
+def test_faults_above_the_site_count_end_at_the_site_count(tmp_path, capsys):
+    # a vector holds distinct sites, so no order above the site count adds a
+    # vector: a huge --faults hits the cap at once, or runs the vectors there
+    # are, and the report still echoes the flag
+    assert main(["analyze", UNPROTECTED, "--faults", "100000000", "--jobs", "1"]) == 1
+    assert "exceed the cap" in capsys.readouterr().err
+    src = tmp_path / "one.fj"
+    src.write_text("noprop x ;\nreturn x ;\n_ != @\n")
+    assert main(["analyze", str(src), "--faults", "1000000000", "--kinds", "zeroing",
+                 "--jobs", "1", "--format", "text,json", "--out", str(tmp_path)]) == 2
+    assert "3 injections: 0 detected, 0 harmless, 3 attacks" in capsys.readouterr().out
+    report = json.loads((tmp_path / "one.report.json").read_text())
+    assert report["config"]["max_faults"] == 1000000000
+
+
 def test_bad_format_is_rejected_before_analysis(monkeypatch, capsys):
     def no_analysis(*args, **kwargs):
         raise AssertionError("analyze ran before the format was checked")

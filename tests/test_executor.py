@@ -88,7 +88,7 @@ def test_trail_holds_one_state_per_statement(corpus_programs):
     from modfault import nominal_run
     for name, prog in corpus_programs.items():
         trail = []
-        nominal_run(ClosedProgram(prog), trail=trail)
+        nominal_run(ClosedProgram(prog), Rewriter(primes=prog.prime_names()), trail)
         assert len(trail) == len(prog.statements), name
 
 

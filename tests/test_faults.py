@@ -5,7 +5,7 @@ import pytest
 from modfault import (
     ClosedProgram, EnumerationCapExceeded, FaultConfig, RANDOMIZING, Rewriter,
     ZEROING, count_vectors, enumerate_sites, enumerate_vectors, inject, inline,
-    nominal_run, parse,
+    parse,
 )
 from modfault.analyzer import _PrefixTree
 from modfault.faults import Fault, FaultSite, apply_faults, fresh_name_base
@@ -82,6 +82,10 @@ def test_vector_counting_formula():
     vectors = list(enumerate_vectors(sites, FaultConfig(max_faults=2)))
     assert len(vectors) == 18
     assert all(len({f.site for f in v}) == len(v) for v in vectors)
+    # no vector is longer than there are sites, whatever the order asked for
+    huge = FaultConfig(max_faults=10 ** 9)
+    assert count_vectors(3, huge) == count_vectors(3, FaultConfig(max_faults=3)) == 26
+    assert len(list(enumerate_vectors(sites, huge))) == 26
 
 
 def test_enumeration_is_deterministic(corpus_programs):
@@ -170,10 +174,7 @@ def test_transient_zero_replaces_single_occurrence(corpus_programs):
 def test_check_fault_is_a_run_overlay(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
     closed = ClosedProgram(prog)
-    rw = Rewriter(primes=prog.prime_names())
-    trail = []
-    nominal = nominal_run(closed, rw, trail)
-    tree = _PrefixTree(closed, rw, nominal, 1, trail)
+    tree = _PrefixTree(closed, Rewriter(primes=prog.prime_names()), 1)
     env = instantiate(prog, seed=1)
     check_sites = [s for s in enumerate_sites(prog, FaultConfig())
                    if s.scope == "check"]

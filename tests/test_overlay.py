@@ -19,7 +19,6 @@ all.
 from modfault import (
     ClosedProgram, FaultConfig, RANDOMIZING, Rewriter, RewriteBudgetExceeded,
     ZEROING, classify, enumerate_sites, enumerate_vectors, inject, inline,
-    nominal_run,
 )
 from modfault.analyzer import FAILURE, Outcome, _PrefixTree
 from modfault.executor import SymbolicRun
@@ -147,20 +146,21 @@ def prefix_decided_calls(program, vector, ref_calls):
 
 def assert_prefix_tree_matches_reference(program, cfg, max_steps=100_000):
     """Sweep every vector of the model through one prefix tree and through
-    the reference; return the vector count and the failures."""
+    the reference.  Return the vector count, and each failed vector with the
+    number of rewriter calls the tree made for it."""
     closed = ClosedProgram(program)
     primes = program.prime_names()
-    nominal = nominal_run(closed, Rewriter(primes=primes))
     new_rw = LoggingRewriter(primes=primes, max_steps=max_steps)
     ref_rw = LoggingRewriter(primes=primes, max_steps=max_steps)
-    tree = _PrefixTree(closed, new_rw, nominal, cfg.max_faults)
-    # the root, walked under the sweep's budget: the empty vector
-    assert tree.outcome(()) == reference_analyze_vector(
-        inline(program), program, (), nominal, ref_rw)
+    tree = _PrefixTree(closed, new_rw, cfg.max_faults)
+    # the root is the nominal run, walked on construction under the sweep's
+    # budget
+    nominal = reference_run_symbolic(inline(program), ref_rw, {})
+    assert tree.nominal == nominal
     assert new_rw.calls == ref_rw.calls
     vectors = list(enumerate_vectors(enumerate_sites(program, cfg), cfg,
                                      fresh_name_base(program)))
-    failures = 0
+    failures = {}
     for i, vector in enumerate(vectors):
         unrolled = inline(reference_inject(program, vector))
         assert closed.inline(inject(program, vector)) == unrolled, f"vector #{i}: {vector}"
@@ -173,7 +173,8 @@ def assert_prefix_tree_matches_reference(program, cfg, max_steps=100_000):
         # reference made only the skipped calls, and the tree makes none
         skipped = prefix_decided_calls(program, vector, ref_rw.calls)
         assert new_rw.calls == ref_rw.calls[skipped:], f"vector #{i}: {vector}"
-        failures += outcome.kind == FAILURE
+        if outcome.kind == FAILURE:
+            failures[vector] = len(new_rw.calls)
     return len(vectors), failures
 
 
@@ -211,9 +212,16 @@ def test_overlay_matches_reference_when_an_input_is_read_next(corpus_programs):
 
 def test_overlay_matches_reference_under_a_tight_budget(corpus_programs):
     # the budget counts unshared steps, so a vector fails whatever earlier
-    # vectors left in the memo, and whether its prefix made the calls it skips
+    # vectors left in the memo, and whether its prefix made the calls it skips;
+    # the nominal run completes under it, as it must
     total, failures = assert_prefix_tree_matches_reference(
-        corpus_programs["vigilant-original"], FaultConfig(max_faults=1),
-        max_steps=30)
-    assert total == 490
-    assert failures  # the budget must bite for the test to mean anything
+        corpus_programs["vigilant-fixed"], CRITERION_7, max_steps=1500)
+    assert total == 13861
+    # the budget must bite for the test to mean anything, on prefixes too
+    assert sum(len(v) == 1 for v in failures) == 20
+    assert sum(len(v) == 2 for v in failures) == 246
+    # a prefix whose run failed at a check, before the last fault's
+    # statement, passes its failure on without a rewriter call
+    inherited = [v for v, calls in failures.items() if not calls]
+    assert len(inherited) == 12
+    assert all(v[:-1] in failures for v in inherited)

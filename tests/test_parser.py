@@ -40,6 +40,28 @@ def test_duplicate_declaration():
         parse("noprop M ; M := 1 ; return M ; _ != @")
 
 
+@pytest.mark.parametrize("source, message, line, col", [
+    ("noprop M ;\nS := M +\n  x ;\nreturn S ;\n_ != @",
+     "use of undeclared identifier 'x' in assignment to 'S'", 3, 3),
+    ("noprop M ;\nreturn M ;\n_ != @ \\/ _ = c",
+     "use of undeclared identifier 'c' in attack condition", 3, 15),
+    ("noprop M ;\nS := M + _ ;\nreturn S ;\n_ != @",
+     "reserved identifier '_' used outside the attack condition", 2, 10),
+    ("noprop M, e,\n  M ;\nreturn M ;\n_ != @",
+     "duplicate declaration of 'M'", 2, 3),
+    ("noprop M ;\n  M := 1 ;\nreturn M ;\n_ != @",
+     "duplicate declaration of 'M'", 2, 3),
+    ("noprop M ;\nif c != M abort with 0 ;\nreturn M ;\n_ != @",
+     "use of undeclared identifier 'c' in verification", 2, 4),
+], ids=["assignment", "attack-condition", "reserved", "noprop-duplicate",
+        "assignment-duplicate", "verification"])
+def test_name_errors_are_located(source, message, line, col):
+    with pytest.raises(LanguageError) as err:
+        parse(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    assert str(err.value) == f"{message} at {line}:{col}"
+
+
 def test_missing_return():
     with pytest.raises(LanguageError, match="return"):
         parse("noprop M ;")
