@@ -63,6 +63,12 @@ def cmd_analyze(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 1
+    outdir = Path(args.out or ".")
+    if args.out and any(fmt != "text" for fmt in formats):
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise SystemExit(f"error: cannot write {args.out}: {err.strerror}")
     program, source = _load(args.file)
     try:
         cfg = FaultConfig(
@@ -82,19 +88,17 @@ def cmd_analyze(args) -> int:
         print(f"error: {args.file}: {err}", file=sys.stderr)
         return 1
     name = Path(args.file).stem
-    outdir = Path(args.out) if args.out else None
     for fmt in formats:
         payload = render(report, fmt)
         if fmt == "text":
             sys.stdout.write(payload.decode())
-        else:
-            if outdir:
-                outdir.mkdir(parents=True, exist_ok=True)
-                target = outdir / f"{name}.report.{fmt}"
-            else:
-                target = Path(f"{name}.report.{fmt}")
+            continue
+        target = outdir / f"{name}.report.{fmt}"
+        try:
             target.write_bytes(payload)
-            print(f"wrote {target}")
+        except OSError as err:
+            raise SystemExit(f"error: cannot write {target}: {err.strerror}")
+        print(f"wrote {target}")
     summary = report.summary
     if summary["attacks"]:
         return 2

@@ -1,12 +1,17 @@
-"""Parser for the ``.fj`` input language.
+r"""Parser for the ``.fj`` input language.
 
 A program is a list of statements (declarations, assignments, verifications)
 terminated by a ``return``, followed by the attack success condition.  Curly
 braces mark a variable, expression or condition as protected against fault
 injection.  ``--`` starts a comment running to end of line.
 
-Operator precedence, tightest to loosest: unary minus, ``^`` (right
-associative), ``*``, ``+``/binary ``-``, ``mod`` (loosest, left associative).
+Expressions and conditions are terms of one grammar.  Binding, tightest to
+loosest: atoms, unary minus, ``^`` (right associative), ``*``, ``+`` and
+binary ``-``, ``mod`` (left associative), the comparisons ``=``, ``!=``,
+``=[m]`` and ``!=[m]`` (not associative), and ``/\`` and ``\/`` (one
+level, left associative).  Parentheses and braces may wrap either kind, at
+any depth.  A term of the wrong kind, such as a condition under ``+`` or an
+expression under ``/\``, is an error located at its first token.
 """
 
 from __future__ import annotations
@@ -74,10 +79,28 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
+# The binding levels of terms, loosest first: ``printer.py`` parenthesises a
+# child by the same ladder.  Unary minus binds tighter than every binary
+# operator, and an atom tightest.
+LEVEL_LOGIC, LEVEL_CMP, LEVEL_MOD, LEVEL_ADD, LEVEL_MUL, LEVEL_POW, LEVEL_ATOM = range(-2, 5)
+
+# Binary operators: the level each binds at and the node it builds.
+_BINARY = {
+    "/\\": (LEVEL_LOGIC, And), "\\/": (LEVEL_LOGIC, Or),
+    "=": (LEVEL_CMP, Eq), "!=": (LEVEL_CMP, Neq),
+    "=[": (LEVEL_CMP, EqMod), "!=[": (LEVEL_CMP, NeqMod),
+    "mod": (LEVEL_MOD, Mod), "+": (LEVEL_ADD, Sum), "-": (LEVEL_ADD, Sum),
+    "*": (LEVEL_MUL, Prod), "^": (LEVEL_POW, Pow),
+}
+# The n-ary nodes: a run of + and - builds one Sum, a run of * one Prod.
+_CHAINS = {Sum: ("+", "-"), Prod: ("*",)}
+
+
 class _Parser:
+    pos = 0  # index of the next token; only next() moves it
+
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
-        self.pos = 0
         self.declared: Set[str] = set()
 
     def peek(self) -> Token:
@@ -101,63 +124,70 @@ class _Parser:
         tok = self.peek()
         return LanguageError(msg, tok.line, tok.col)
 
-    # -- expressions, precedence climbing --------------------------------
+    def check_kind(self, start: Token, term: Expr, cond: bool = False) -> Expr:
+        """``term``, parsed from token ``start`` on, which must be a
+        condition if ``cond`` and an expression otherwise."""
+        if isinstance(term, Cond) == cond:
+            return term
+        want, found = "a condition", "an expression"
+        if not cond:
+            want, found = found, want
+        raise LanguageError(f"expected {want}, found {found}", start.line, start.col)
+
+    # -- terms: one precedence ladder --------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.parse_mod()
+        return self.check_kind(self.peek(), self.parse_term())
 
-    def parse_mod(self) -> Expr:
-        e = self.parse_add()
-        while self.peek().text == "mod":
+    def parse_cond(self) -> Cond:
+        return self.check_kind(self.peek(), self.parse_term(), True)
+
+    def parse_term(self, min_level: int = LEVEL_LOGIC) -> Expr:
+        r"""Parse a term, an expression or a condition, whose binary operators
+        bind at ``min_level`` or tighter.  The operands of ``/\`` and
+        ``\/`` must be conditions and all others expressions, so a chain
+        of comparisons fails as a condition under a comparison."""
+        start = self.peek()
+        term = self.parse_unary()
+        while True:
+            op = self.peek()
+            level, node = _BINARY.get(op.text, (None, None))
+            if level is None or level < min_level:
+                return term
             self.next()
-            rhs = self.parse_add()
-            e = Mod(e, rhs)
-        return e
-
-    def parse_add(self) -> Expr:
-        parts = [self.parse_mul()]
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.parse_mul()
-            parts.append(Opp(rhs) if op == "-" else rhs)
-        if len(parts) == 1:
-            return parts[0]
-        return Sum(tuple(parts))
-
-    def parse_mul(self) -> Expr:
-        parts = [self.parse_pow()]
-        while self.peek().text == "*":
-            self.next()
-            parts.append(self.parse_pow())
-        if len(parts) == 1:
-            return parts[0]
-        return Prod(tuple(parts))
-
-    def parse_pow(self) -> Expr:
-        base = self.parse_unary()
-        if self.peek().text == "^":
-            self.next()
-            return Pow(base, self.parse_pow())
-        return base
+            cond = level == LEVEL_LOGIC
+            operands = [self.check_kind(start, term, cond)]
+            modulus = []
+            if node in (EqMod, NeqMod):  # the modulus is the last child
+                modulus.append(self.parse_expr())
+                self.expect("]")
+            # an operand binds tighter than its operator; ^ is right associative
+            operand_level = level if node is Pow else level + 1
+            while True:
+                rhs = self.check_kind(self.peek(), self.parse_term(operand_level), cond)
+                operands.append(Opp(rhs) if op.text == "-" else rhs)
+                if self.peek().text not in _CHAINS.get(node, ()):
+                    break
+                op = self.next()
+            term = node(tuple(operands)) if node in _CHAINS else node(*operands, *modulus)
 
     def parse_unary(self) -> Expr:
         if self.peek().text == "-":
             self.next()
-            return Opp(self.parse_unary())
+            return Opp(self.check_kind(self.peek(), self.parse_unary()))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.text == "(":
+        if tok.text in ("(", "{"):
+            # a bracket holds a term of either kind
             self.next()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if tok.text == "{":
-            self.next()
-            e = self.parse_expr()
+            term = self.parse_term()
+            if tok.text == "(":
+                self.expect(")")
+                return term
             self.expect("}")
-            return e.with_protected(True)
+            return term.with_protected(True)
         if tok.text == "0":
             self.next()
             return Zero()
@@ -169,59 +199,6 @@ class _Parser:
             return Var(tok.text)
         raise self.error(f"expected an expression, found {tok.text!r}"
                          if tok.text else "unexpected end of input in expression")
-
-    # -- conditions -------------------------------------------------------
-
-    def parse_cond(self) -> Cond:
-        c = self.parse_cond_atom()
-        while self.peek().kind in ("and", "or"):
-            op = self.next()
-            rhs = self.parse_cond_atom()
-            c = And(c, rhs) if op.kind == "and" else Or(c, rhs)
-        return c
-
-    def parse_cond_atom(self) -> Cond:
-        tok = self.peek()
-        if tok.text == "{":
-            # protected condition or a comparison starting with a protected expr
-            save = self.pos
-            try:
-                self.next()
-                inner = self.parse_cond()
-                self.expect("}")
-                if self.peek().kind in ("and", "or", "eof") or self.peek().text in (")", "abort"):
-                    return inner.with_protected(True)
-            except LanguageError:
-                pass
-            self.pos = save
-        if tok.text == "(":
-            # parenthesised condition, unless it is an expression in disguise
-            save = self.pos
-            try:
-                self.next()
-                inner = self.parse_cond()
-                self.expect(")")
-                return inner
-            except LanguageError:
-                self.pos = save
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Cond:
-        lhs = self.parse_expr()
-        tok = self.next()
-        if tok.text == "=":
-            return Eq(lhs, self.parse_expr())
-        if tok.kind == "neq":
-            return Neq(lhs, self.parse_expr())
-        if tok.kind in ("eqmod", "neqmod"):
-            modulus = self.parse_expr()
-            self.expect("]")
-            rhs = self.parse_expr()
-            if tok.kind == "eqmod":
-                return EqMod(lhs, rhs, modulus)
-            return NeqMod(lhs, rhs, modulus)
-        raise LanguageError(
-            f"expected a comparison operator, found {tok.text!r}", tok.line, tok.col)
 
     # -- statements -------------------------------------------------------
 
@@ -299,8 +276,6 @@ class _Parser:
         start = self.pos
         condition = self.parse_cond()
         self.check_uses(free_vars(condition) - set(RESERVED_NAMES), "attack condition", start)
-        if self.peek().kind != "eof":
-            raise self.error("unexpected input after the attack success condition")
         return Program(tuple(statements), condition)
 
     # -- names ------------------------------------------------------------
@@ -340,29 +315,28 @@ class _Parser:
             raise LanguageError(message, tok.line, tok.col)
 
 
-def parse(source: str) -> Program:
-    """Parse and validate a complete program."""
+def _parse_all(source: str, rule, what: str):
+    """Parse all of ``source`` with ``rule``, a ``_Parser`` method."""
     parser = _Parser(tokenize(source))
     try:
-        program = parser.parse_program()
+        result = rule(parser)
     except RecursionError:
         raise parser.error("expression nested too deeply") from None
-    return program
+    if parser.peek().kind != "eof":
+        raise parser.error(f"unexpected input after {what}")
+    return result
+
+
+def parse(source: str) -> Program:
+    """Parse and validate a complete program."""
+    return _parse_all(source, _Parser.parse_program, "the attack success condition")
 
 
 def parse_expr(source: str) -> Expr:
     """Parse a single expression (teaching/testing helper)."""
-    p = _Parser(tokenize(source))
-    e = p.parse_expr()
-    if p.peek().kind != "eof":
-        raise p.error("unexpected input after expression")
-    return e
+    return _parse_all(source, _Parser.parse_expr, "expression")
 
 
 def parse_cond(source: str) -> Cond:
     """Parse a single condition (teaching/testing helper)."""
-    p = _Parser(tokenize(source))
-    c = p.parse_cond()
-    if p.peek().kind != "eof":
-        raise p.error("unexpected input after condition")
-    return c
+    return _parse_all(source, _Parser.parse_cond, "condition")

@@ -2,37 +2,33 @@
 
 from __future__ import annotations
 
+from .parser import (
+    LEVEL_ADD, LEVEL_ATOM, LEVEL_CMP, LEVEL_LOGIC, LEVEL_MOD, LEVEL_MUL,
+    LEVEL_POW,
+)
 from .terms import (
     And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr, Mod,
     Neq, NeqMod, One, Opp, Or, Pow, Prod, Program, Return, Sum, Var, Verify,
     Zero,
 )
 
-# Binding strength of each node as produced by the parser; a child is
-# parenthesised when it binds no tighter than its context requires.
-_LEVEL_LOGIC = -2  # /\ and \/: one level, left associative
-_LEVEL_CMP = -1
-_LEVEL_MOD = 0
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_POW = 3
-_LEVEL_ATOM = 4
-
 
 def _level(e: Expr) -> int:
+    """The parser's binding level of ``e``'s node; ``_child`` parenthesises
+    a node that binds looser than its context requires."""
     if isinstance(e, (And, Or)):
-        return _LEVEL_LOGIC
+        return LEVEL_LOGIC
     if isinstance(e, Cond):
-        return _LEVEL_CMP
+        return LEVEL_CMP
     if isinstance(e, Mod):
-        return _LEVEL_MOD
+        return LEVEL_MOD
     if isinstance(e, Sum):
-        return _LEVEL_ADD
+        return LEVEL_ADD
     if isinstance(e, Prod):
-        return _LEVEL_MUL
+        return LEVEL_MUL
     if isinstance(e, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM  # Zero, One, Var, Opp (unary minus binds tightest)
+        return LEVEL_POW
+    return LEVEL_ATOM  # Zero, One, Var, Opp (unary minus binds tightest)
 
 
 def pretty_expr(e: Expr) -> str:
@@ -51,25 +47,25 @@ def _render(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Opp):
-        inner = _child(e.arg, _LEVEL_ATOM)
+        inner = _child(e.arg, LEVEL_ATOM)
         if inner.startswith("-"):
             inner = f"({inner})"  # avoid '--', which opens a comment
         return "-" + inner
     if isinstance(e, Pow):
         # right associative; the base must bind tighter than ^
-        return _child(e.base, _LEVEL_ATOM) + "^" + _child(e.exponent, _LEVEL_POW)
+        return _child(e.base, LEVEL_ATOM) + "^" + _child(e.exponent, LEVEL_POW)
     if isinstance(e, Prod):
-        return " * ".join(_child(c, _LEVEL_POW) for c in e.operands)
+        return " * ".join(_child(c, LEVEL_POW) for c in e.operands)
     if isinstance(e, Sum):
-        parts = [_child(e.operands[0], _LEVEL_MUL)]
+        parts = [_child(e.operands[0], LEVEL_MUL)]
         for c in e.operands[1:]:
             if isinstance(c, Opp) and not c.protected:
-                parts.append("- " + _child(c.arg, _LEVEL_MUL))
+                parts.append("- " + _child(c.arg, LEVEL_MUL))
             else:
-                parts.append("+ " + _child(c, _LEVEL_MUL))
+                parts.append("+ " + _child(c, LEVEL_MUL))
         return " ".join(parts)
     if isinstance(e, Mod):
-        return _child(e.body, _LEVEL_ADD) + " mod " + _child(e.modulus, _LEVEL_ADD)
+        return _child(e.body, LEVEL_ADD) + " mod " + _child(e.modulus, LEVEL_ADD)
     if isinstance(e, Eq):
         return f"{pretty_expr(e.lhs)} = {pretty_expr(e.rhs)}"
     if isinstance(e, Neq):
@@ -81,7 +77,7 @@ def _render(e: Expr) -> str:
     if isinstance(e, (And, Or)):
         # an operand that is itself /\ or \/ is always parenthesised
         op = " /\\ " if isinstance(e, And) else " \\/ "
-        return _child(e.lhs, _LEVEL_CMP) + op + _child(e.rhs, _LEVEL_CMP)
+        return _child(e.lhs, LEVEL_CMP) + op + _child(e.rhs, LEVEL_CMP)
     raise TypeError(f"not a term: {e!r}")
 
 

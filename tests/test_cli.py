@@ -52,6 +52,13 @@ def test_parse_roundtrip_command(capsys):
     assert "return S ;" in out
 
 
+def test_parse_prints_nested_protected_conditions_back(tmp_path, capsys):
+    src = tmp_path / "nested.fj"
+    src.write_text("noprop x, y, a, b ;\nreturn x ;\n\n{{x = y} /\\ {a = b}}\n")
+    assert main(["parse", str(src)]) == 0
+    assert capsys.readouterr().out == src.read_text()
+
+
 def test_unreadable_file(capsys):
     assert main(["parse", "no-such-file.fj"]) == 1
 
@@ -104,6 +111,28 @@ def test_bad_format_is_rejected_before_analysis(monkeypatch, capsys):
     monkeypatch.setattr("modfault.cli.analyze", no_analysis)
     assert main(["analyze", FIXED, "--jobs", "1", "--format", "text,jsn"]) == 1
     assert "unknown format 'jsn'" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_rejected_before_analysis(tmp_path, monkeypatch, capsys):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analyze ran before --out was created")
+
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr("modfault.cli.analyze", no_analysis)
+    assert main(["analyze", FIXED, "--jobs", "1", "--format", "text,json",
+                 "--out", str(taken)]) == 1
+    assert f"error: cannot write {taken}: File exists" in capsys.readouterr().err
+
+
+def test_unwritable_report_maps_to_exit_1(tmp_path, capsys):
+    src = tmp_path / "one.fj"
+    src.write_text("noprop x ;\nreturn x ;\n_ != @\n")
+    (tmp_path / "one.report.json").mkdir()
+    assert main(["analyze", str(src), "--jobs", "1", "--format", "json",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {tmp_path / 'one.report.json'}: Is a directory" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

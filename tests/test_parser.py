@@ -164,3 +164,47 @@ def test_braces_protect_the_atom_they_enclose():
     c = parse_cond("{x = y} /\\ z != 0")
     assert c == And(Eq(Var("x"), Var("y"), protected=True), Neq(Var("z"), Zero()))
     assert c.lhs.protected and not c.protected and not c.rhs.protected
+
+
+def test_brackets_hold_either_kind_at_any_depth():
+    x, y, a, b = Var("x"), Var("y"), Var("a"), Var("b")
+    xy, ab = Eq(x, y), Eq(a, b)
+    assert parse_cond("{{x = y} /\\ {a = b}}") == And(
+        xy.with_protected(True), ab.with_protected(True), protected=True)
+    assert parse_cond("{x = y /\\ {a = b}}") == And(
+        xy, ab.with_protected(True), protected=True)
+    assert parse_cond("{{x = y}}") == xy.with_protected(True)
+    assert parse_cond("({x = y})") == xy.with_protected(True)
+    assert parse_cond("{(x = y)}") == xy.with_protected(True)
+    assert parse_cond("((x) = y)") == xy
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    ("noprop x ;\nif x abort with 0 ;\nreturn x ;\n_ != @",
+     "expected a condition, found an expression", 2, 4),
+    ("noprop a, b ;\nx := a = b ;\nreturn x ;\n_ != @",
+     "expected an expression, found a condition", 2, 6),
+    ("noprop a, b, c, d ;\nreturn a ;\n(a = b) + c = d",
+     "expected an expression, found a condition", 3, 1),
+    ("noprop x, y, z ;\nreturn x ;\n{x = y} = z",
+     "expected an expression, found a condition", 3, 1),
+    ("noprop x, y ;\nreturn x ;\n_ != @ /\\ -{x = y}",
+     "expected an expression, found a condition", 3, 12),
+    ("noprop x, y, z ;\nreturn x ;\nx /\\ y = z",
+     "expected a condition, found an expression", 3, 1),
+], ids=["verification-expression", "assignment-condition", "sum-of-condition",
+        "compared-condition", "negated-condition", "conjoined-expression"])
+def test_kind_mixes_are_located(source, message, line, col):
+    with pytest.raises(LanguageError) as err:
+        parse(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("parse_one, source", [
+    (parse, "noprop x ;\nreturn x ;\n" + "(" * 1000 + "x" + ")" * 1000 + " = @"),
+    (parse_expr, "(" * 1000 + "x" + ")" * 1000),
+    (parse_cond, "(" * 1000 + "x" + ")" * 1000 + " = y"),
+], ids=["parse", "parse_expr", "parse_cond"])
+def test_deep_nesting_is_a_language_error(parse_one, source):
+    with pytest.raises(LanguageError, match="expression nested too deeply"):
+        parse_one(source)

@@ -45,20 +45,26 @@ def test_protected_expr_roundtrip(e):
     assert parse_expr(pretty_expr(protected)) == protected
 
 
+def maybe_protected(strategy):
+    return st.tuples(strategy, st.booleans()).map(lambda t: t[0].with_protected(t[1]))
+
+
 def conds():
+    # protection anywhere: on an operand, a comparison, a sub-condition
     from modfault import And, Eq, EqMod, Neq, NeqMod, Or
-    comparisons = st.one_of(
-        st.tuples(exprs(), exprs()).map(lambda t: Eq(*t)),
-        st.tuples(exprs(), exprs()).map(lambda t: Neq(*t)),
-        st.tuples(exprs(), exprs(), exprs()).map(lambda t: EqMod(*t)),
-        st.tuples(exprs(), exprs(), exprs()).map(lambda t: NeqMod(*t)),
-    )
+    operands = maybe_protected(exprs())
+    comparisons = maybe_protected(st.one_of(
+        st.tuples(operands, operands).map(lambda t: Eq(*t)),
+        st.tuples(operands, operands).map(lambda t: Neq(*t)),
+        st.tuples(operands, operands, operands).map(lambda t: EqMod(*t)),
+        st.tuples(operands, operands, operands).map(lambda t: NeqMod(*t)),
+    ))
     return st.recursive(
         comparisons,
-        lambda sub: st.one_of(
+        lambda sub: maybe_protected(st.one_of(
             st.tuples(sub, sub).map(lambda t: And(*t)),
             st.tuples(sub, sub).map(lambda t: Or(*t)),
-        ),
+        )),
         max_leaves=6,
     )
 
