@@ -55,6 +55,9 @@ def _parse_bool(text: str) -> bool:
 
 def cmd_analyze(args) -> int:
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    if not formats:
+        print("error: no output format given", file=sys.stderr)
+        return 1
     for fmt in formats:
         if fmt not in FORMATS:
             print(f"error: unknown format {fmt!r}; choose from {', '.join(FORMATS)}",
@@ -62,6 +65,10 @@ def cmd_analyze(args) -> int:
             return 1
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 1
+    if args.max_vectors < 1:
+        print(f"error: --max-vectors must be >= 1, got {args.max_vectors}",
+              file=sys.stderr)
         return 1
     outdir = Path(args.out or ".")
     if args.out and any(fmt != "text" for fmt in formats):

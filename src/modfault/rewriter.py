@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from .terms import (
     And, Cond, Eq, EqMod, Expr, Fresh, Mod, Neq, NeqMod, ONE, One, Opp, Or,
-    Pow, Prod, Sum, Var, ZERO, Zero, sort_key, walk,
+    Pow, Prod, Sum, Var, ZERO, Zero, sort_key,
 )
 # Unused here, but kept bound: the benchmark's tracer patches this name.
 from .terms import strip_protection  # noqa: F401
@@ -174,15 +174,15 @@ class Rewriter:
                 flat.extend(p.operands)
             elif p != ZERO:
                 flat.append(p)
-        # opposite pairs cancel as multisets
+        # opposite pairs cancel as multisets; an Opp of an Opp is not a
+        # normal form and cancels with nothing
         counts = Counter(flat)
-        for t in list(counts):
-            if isinstance(t, Opp):
-                continue
-            k = min(counts[t], counts.get(Opp(t), 0))
-            if k:
-                counts[t] -= k
-                counts[Opp(t)] -= k
+        for u in counts:
+            if isinstance(u, Opp) and not isinstance(u.arg, Opp):
+                k = min(counts[u], counts.get(u.arg, 0))
+                if k:
+                    counts[u] -= k
+                    counts[u.arg] -= k
         out: List[Expr] = []
         for t, n in counts.items():
             out.extend([t] * n)
@@ -472,10 +472,10 @@ class Rewriter:
         """
         if delta == ZERO:
             return False
+        if not delta._fresh:
+            return True  # no fault variable occurs at all
         scan = _FreshScan()
         scan.visit(delta, in_prod=False, in_pow=False)
-        if not scan.occurrences:
-            return True  # no fault variable occurs at all
         if scan.in_modulus:
             return True
         return scan.transparent and not scan.opaque
@@ -496,25 +496,25 @@ class _FreshScan:
     or through a power that has no product around it (a unit coefficient).
     opaque: beneath a power that itself sits inside a product.
     in_modulus: inside the modulus operand of some reduction.
+    Subterms without a fault variable are not entered.
     """
 
     def __init__(self):
-        self.occurrences = 0
         self.transparent = False
         self.opaque = False
         self.in_modulus = False
 
     def visit(self, e: Expr, in_prod: bool, in_pow: bool):
+        if not e._fresh:
+            return
         if isinstance(e, Fresh):
-            self.occurrences += 1
             if in_pow and in_prod:
                 self.opaque = True
             else:
                 self.transparent = True
             return
         if isinstance(e, Mod):
-            if any(isinstance(n, Fresh) for n in walk(e.modulus)):
-                self.occurrences += 1
+            if e.modulus._fresh:
                 self.in_modulus = True
             self.visit(e.body, in_prod, in_pow)
             return
@@ -528,9 +528,16 @@ class _FreshScan:
 
 
 def _factor_counter(t: Expr) -> Counter:
+    """The factor multiset of a term.  A product's is cached on the node and
+    shared, so callers must not mutate the result.  Any other term's is built
+    afresh: cached on the term, it would hold the term alive."""
     if isinstance(t, Prod):
-        return Counter(t.operands)
-    return Counter([t])
+        factors = t._factors
+        if factors is None:
+            factors = Counter(t.operands)
+            object.__setattr__(t, "_factors", factors)
+        return factors
+    return Counter((t,))
 
 
 def _signed_factors(t: Expr) -> Tuple[Counter, bool]:
@@ -540,7 +547,10 @@ def _signed_factors(t: Expr) -> Tuple[Counter, bool]:
 
 
 def _covers(haystack: Counter, needle: Counter) -> bool:
-    return all(haystack.get(t, 0) >= n for t, n in needle.items())
+    for t, n in needle.items():
+        if haystack.get(t, 0) < n:
+            return False
+    return True
 
 
 def _abs_term(t: Expr) -> Expr:
@@ -551,7 +561,14 @@ def _is_multiple(a: Expr, b: Expr) -> bool:
     """a is a structural multiple of b, up to sign (factor multiset inclusion)."""
     if a == b:
         return True
-    return _covers(_factor_counter(_abs_term(a)), _factor_counter(_abs_term(b)))
+    a, b = _abs_term(a), _abs_term(b)
+    if not isinstance(a, Prod):
+        # a single factor covers only itself: every product the parser or
+        # the rewriter builds has two or more factors
+        return a == b
+    if isinstance(b, Prod):
+        return _covers(_factor_counter(a), _factor_counter(b))
+    return b in a.operands
 
 
 def _crt_components(m: Expr) -> List[Expr]:

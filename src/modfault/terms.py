@@ -8,9 +8,12 @@ matters to fault-site enumeration: ``executor.ClosedProgram`` strips it while
 closing the program into terms, and normal forms never carry it.
 
 Expression and condition nodes are interned: each distinct term, protection
-flag included, is built once and shared, so equality is identity, and the
-facts the rewriter and the executor ask of a node on every use (hash, sort
-key, protection-free twin) are computed once, when it is built.  A condition
+flag included, is built once and shared while it is alive, so equality is
+identity and a node hashes by identity.  A node that dies and is built again
+is a new object with a new hash, so nothing may keep a hash, or a hashed
+container, past the nodes in it.  The facts the rewriter and the executor ask
+of a node on every use (sort key, protection-free twin, whether a fault
+variable occurs in it) are computed once, when it is built.  A condition
 is a node whose fields are all children, so the walkers below (path access
 and replacement, traversal, free variables, protection stripping) and
 ``executor.subst`` serve both.  Only statements and programs are frozen
@@ -37,23 +40,35 @@ class LanguageError(Exception):
 
 # --- expressions -----------------------------------------------------------
 
-# Every live node, keyed by kind name, field values and protection flag.  A
-# node leaves the table with its last reference.
-_INTERNED: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+# Every live node, keyed by kind name, field values and protection flag, as a
+# weak reference that carries its key.  A node leaves the table with its last
+# reference.
+_INTERNED: "dict[tuple, weakref.KeyedRef]" = {}
+
+
+def _forget(ref: weakref.KeyedRef, table=_INTERNED) -> None:
+    # A node built again after its predecessor died, but before this callback
+    # ran, already holds the slot under the same key: leave that entry alone.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class Expr:
     """Interned term node.
 
     ``Kind(*fields, protected=flag)`` returns the live node with those fields
-    when there is one, so equal terms are one object and ``==`` is identity.
-    The hash (of the intern key, so equal terms hash alike across lifetimes),
-    the canonical sort key and the protection-free twin are fixed when the
-    node is built.
+    when there is one, so equal terms are one object, ``==`` is identity and
+    the hash is the identity hash.  The canonical sort key, the
+    protection-free twin and the fault-variable bit are fixed when the node
+    is built.
     """
 
-    __slots__ = ("protected", "_key", "_hash", "_kids", "_sort_key", "_plain",
-                 "__weakref__")
+    # _plain: the protection-free twin, or None when the node is its own.
+    # _fresh: the node is, or holds, a Fresh fault variable.
+    # _factors: the rewriter's factor multiset of a Prod, a Counter cached on
+    # first use and never mutated; None until then and on every other kind.
+    __slots__ = ("protected", "_key", "_kids", "_sort_key", "_plain", "_fresh",
+                 "_factors", "__weakref__")
     _fields: Tuple[str, ...] = ()
     # leaf: no children; fixed: every field is a child; nary: one field
     # holding a tuple of children
@@ -62,9 +77,11 @@ class Expr:
 
     def __new__(cls, *values, protected: bool = False):
         key = (cls.__name__, *values, protected)
-        node = _INTERNED.get(key)
-        if node is not None:
-            return node
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         if len(values) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {values!r}")
         if cls._shape == "leaf":
@@ -76,8 +93,15 @@ class Expr:
         else:
             kids = values
             order = (cls._rank, *(k._sort_key for k in kids))
-        plain = None  # None: the node is its own protection-free twin
-        if protected or any(k._plain is not None for k in kids):
+        carries_protection = protected
+        fresh = cls is Fresh
+        for k in kids:
+            if k._plain is not None:
+                carries_protection = True
+            if k._fresh:
+                fresh = True
+        plain = None
+        if carries_protection:
             plain = cls(*cls._values_over(values, [strip_protection(k) for k in kids]))
         node = object.__new__(cls)
         init = object.__setattr__
@@ -85,11 +109,12 @@ class Expr:
             init(node, name, value)
         init(node, "protected", protected)
         init(node, "_key", key)
-        init(node, "_hash", hash(key))
         init(node, "_kids", kids)
         init(node, "_sort_key", order)
         init(node, "_plain", plain)
-        _INTERNED[key] = node
+        init(node, "_fresh", fresh)
+        init(node, "_factors", None)
+        _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
     @classmethod
@@ -100,9 +125,6 @@ class Expr:
         if cls._shape == "nary":
             return (tuple(kids),)
         return tuple(kids)
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -141,6 +141,24 @@ def test_jobs_below_one_maps_to_exit_1(capsys, jobs):
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the program was parsed before the options were checked")
+
+
+@pytest.mark.parametrize("formats", [",", " , ", ""])
+def test_empty_format_is_rejected_before_parsing(monkeypatch, capsys, formats):
+    monkeypatch.setattr("modfault.cli.parse", _no_parse)
+    assert main(["analyze", FIXED, "--jobs", "1", "--format", formats]) == 1
+    assert "error: no output format given" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_vectors_below_one_is_rejected_before_parsing(monkeypatch, capsys, cap):
+    monkeypatch.setattr("modfault.cli.parse", _no_parse)
+    assert main(["analyze", FIXED, "--jobs", "1", "--max-vectors", cap]) == 1
+    assert f"error: --max-vectors must be >= 1, got {cap}" in capsys.readouterr().err
+
+
 def test_max_vectors_cap(capsys):
     assert main(["analyze", UNPROTECTED, "--faults", "3", "--jobs", "1",
                  "--max-vectors", "10"]) == 1

@@ -1,15 +1,18 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfault import (
-    EqMod, Fresh, Mod, Neq, NeqMod, One, Opp, Pow, Prod, RewriteBudgetExceeded,
-    Rewriter, Sum, Var, Zero, Eq, parse_cond, parse_expr,
+    EqMod, FaultConfig, Fresh, Mod, Neq, NeqMod, One, Opp, Pow, Prod, RANDOMIZING,
+    RewriteBudgetExceeded, Rewriter, Sum, Var, ZEROING, Zero, Eq, analyze,
+    parse_cond, parse_expr,
 )
 from modfault.oracle import ConcreteEnv, eval_expr
-from modfault.rewriter import TRUE, UNKNOWN
+from modfault.rewriter import TRUE, UNKNOWN, _is_multiple
+from modfault.terms import _INTERNED, sort_key, walk
 
 V = Var
 pe = parse_expr
@@ -285,3 +288,157 @@ def test_sum_prod_permutation_invariance(vs, rnd):
     rnd.shuffle(shuffled)
     assert rw.normalize(Sum(tuple(vs))) == rw.normalize(Sum(tuple(shuffled)))
     assert rw.normalize(Prod(tuple(vs))) == rw.normalize(Prod(tuple(shuffled)))
+
+
+# -- per-node facts: the fault-variable bit and the factor cache --------------
+
+FAULT_NAMES = ("f0", "f1")
+
+
+def fault_exprs():
+    """Terms with fault variables under sums, products, powers (base and
+    exponent) and reductions (body and modulus)."""
+    leaf = st.one_of(leaves(), st.sampled_from(FAULT_NAMES).map(Fresh))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            sub.map(Opp),
+            st.tuples(sub, sub).map(Sum),
+            st.tuples(sub, sub, sub).map(Prod),
+            st.tuples(sub, sub).map(lambda t: Pow(*t)),
+            st.tuples(sub, sub).map(lambda t: Mod(*t)),
+        ),
+        max_leaves=16,
+    )
+
+
+class ReferenceFreshScan:
+    """The scan as it was before it skipped fault-free subterms."""
+
+    def __init__(self):
+        self.occurrences = 0
+        self.transparent = False
+        self.opaque = False
+        self.in_modulus = False
+
+    def visit(self, e, in_prod, in_pow):
+        if isinstance(e, Fresh):
+            self.occurrences += 1
+            if in_pow and in_prod:
+                self.opaque = True
+            else:
+                self.transparent = True
+            return
+        if isinstance(e, Mod):
+            if any(isinstance(n, Fresh) for n in walk(e.modulus)):
+                self.occurrences += 1
+                self.in_modulus = True
+            self.visit(e.body, in_prod, in_pow)
+            return
+        if isinstance(e, Pow):
+            for c in e.children():
+                self.visit(c, in_prod, in_pow or in_prod)
+            return
+        child_in_prod = in_prod or isinstance(e, Prod)
+        for c in e.children():
+            self.visit(c, child_in_prod, in_pow)
+
+
+def reference_generically_nonzero(delta):
+    if delta == Zero():
+        return False
+    scan = ReferenceFreshScan()
+    scan.visit(delta, in_prod=False, in_pow=False)
+    if not scan.occurrences:
+        return True
+    if scan.in_modulus:
+        return True
+    return scan.transparent and not scan.opaque
+
+
+@given(fault_exprs())
+@settings(max_examples=500, deadline=None)
+def test_fault_variable_bit_and_scan_match_the_full_walk(e):
+    rw = Rewriter(primes={"p", "q"})
+    try:
+        normal = rw.normalize(e)
+    except RewriteBudgetExceeded:
+        normal = e
+    for term in (e, normal):
+        for node in walk(term):
+            assert node._fresh == any(isinstance(n, Fresh) for n in walk(node))
+        assert rw._generically_nonzero(term) == reference_generically_nonzero(term)
+
+
+def reference_assemble_sum(parts, ctx):
+    """The sum assembly as it was when it looked up Opp(t) for each t."""
+    flat = []
+    for p in parts:
+        if ctx is not None and p != Zero() and _is_multiple(p, ctx):
+            continue
+        if isinstance(p, Sum):
+            flat.extend(p.operands)
+        elif p != Zero():
+            flat.append(p)
+    counts = Counter(flat)
+    for t in list(counts):
+        if isinstance(t, Opp):
+            continue
+        k = min(counts[t], counts.get(Opp(t), 0))
+        if k:
+            counts[t] -= k
+            counts[Opp(t)] -= k
+    out = []
+    for t, n in counts.items():
+        out.extend([t] * n)
+    out.sort(key=sort_key)
+    if not out:
+        return Zero()
+    if len(out) == 1:
+        return out[0]
+    return Sum(tuple(out))
+
+
+@given(st.lists(st.tuples(exprs(), st.integers(0, 3), st.integers(0, 3),
+                          st.booleans()),
+                min_size=1, max_size=5),
+       st.one_of(st.none(), exprs()), st.randoms())
+@settings(max_examples=500, deadline=None)
+def test_sum_cancellation_matches_the_opp_lookup(draws, modulus, rnd):
+    # Normal forms t repeated m times beside m' opposites, either the
+    # rewriter's opposite of t or a bare Opp(t), which is an Opp of an Opp
+    # when t is itself an opposite.
+    rw = Rewriter(primes={"p", "q"})
+    try:
+        parts = []
+        for e, m, m_opp, bare in draws:
+            t = rw.normalize(e)
+            opposite = Opp(t) if bare else rw._mk_opp(t)
+            parts += [t] * m + [opposite] * m_opp
+        ctx = None if modulus is None else rw.normalize(modulus)
+    except RewriteBudgetExceeded:
+        return
+    if ctx == Zero():
+        ctx = None
+    rnd.shuffle(parts)
+    assert rw._assemble_sum(list(parts), ctx) is reference_assemble_sum(parts, ctx)
+
+
+def test_cached_factor_multisets_are_never_mutated(monkeypatch, corpus_programs):
+    rewriters = []
+
+    class Recording(Rewriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            rewriters.append(self)
+
+    monkeypatch.setattr("modfault.analyzer.Rewriter", Recording)
+    cfg = FaultConfig(max_faults=1, kinds=(ZEROING, RANDOMIZING))
+    for program in corpus_programs.values():
+        analyze(program, cfg, jobs=1)
+    cached = [node for node in (ref() for ref in list(_INTERNED.values()))
+              if node is not None and node._factors is not None]
+    assert len(rewriters) == len(corpus_programs)
+    assert cached
+    for node in cached:
+        assert node._factors == Counter(node.operands)

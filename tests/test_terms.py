@@ -1,4 +1,5 @@
 import gc
+import multiprocessing
 import pickle
 import weakref
 from dataclasses import FrozenInstanceError
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfault import (
-    And, Eq, EqMod, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod, Sum, Var, Zero,
-    parse_cond, parse_expr,
+    And, Eq, EqMod, Fresh, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod, Sum, Var,
+    Zero, parse_cond, parse_expr,
 )
-from modfault.terms import free_vars, sort_key, strip_protection, walk
+from modfault.terms import (
+    _INTERNED, _forget, free_vars, sort_key, strip_protection, walk,
+)
 
 NAMES = ("a", "b", "p", "q", "M", "x_1")
 
@@ -85,16 +88,55 @@ def test_pickle_reinterns():
 
 
 def test_hash_survives_the_node():
+    # Nodes hash by identity: a live node keeps its hash and is what an equal
+    # construction returns, and a dropped node is freed, not kept for its hash.
     def build():
         return Mod(Pow(Var("unique_base"), Opp(One())), Var("unique_modulus"))
 
     e = build()
     first = hash(e)
+    assert build() is e
+    assert hash(build()) == first == hash(e)
     ref = weakref.ref(e)
     del e
     gc.collect()
     assert ref() is None
-    assert hash(build()) == first
+
+
+def test_intern_table_forgets_dropped_nodes():
+    gc.collect()
+    before = len(_INTERNED)
+    nodes = [Opp(Var(f"dropped_{i}")) for i in range(5_000)]
+    assert len(_INTERNED) == before + 10_000
+    del nodes
+    gc.collect()
+    assert len(_INTERNED) == before
+    rebuilt = Opp(Var("dropped_7"))
+    assert Opp(Var("dropped_7")) is rebuilt
+    assert _INTERNED[rebuilt._key]() is rebuilt
+
+
+def test_a_dead_nodes_callback_spares_its_successor():
+    # The callback of a node's reference may run after an equal node took
+    # the key; it must not remove the successor's entry.
+    e = Var("successor")
+    stale = weakref.KeyedRef(Var("stale"), _forget, e._key)
+    _forget(stale)
+    assert _INTERNED[e._key]() is e
+    assert Var("successor") is e
+
+
+def _echo(e):
+    return e
+
+
+def test_pickle_reinterns_across_processes():
+    nodes = [parse_expr("M^{dp} mod ({p} - 1)"), parse_cond("{S =[p] Sp} /\\ _ != @"),
+             Fresh("f")]
+    with multiprocessing.Pool(2) as pool:
+        back = pool.map_async(_echo, nodes).get(timeout=60)
+    assert len(back) == len(nodes)
+    assert all(b is n for b, n in zip(back, nodes))
 
 
 def test_nodes_are_immutable():
