@@ -28,9 +28,9 @@ from .printer import pretty, pretty_expr
 from .reporting import render, report_dict
 from .rewriter import RewriteBudgetExceeded, Rewriter
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr, Fresh,
-    LanguageError, Mod, Neq, NeqMod, ONE, One, Opp, Or, Pow, Prod, Program,
-    Return, Sum, Var, Verify, ZERO, Zero,
+    And, Assign, Cond, Declare, Eq, EqMod, Expr, Fresh, LanguageError, Mod,
+    Neq, NeqMod, ONE, One, Opp, Or, Pow, Prod, Program, Return, Sum, Var,
+    Verify, ZERO, Zero,
 )
 
 __version__ = "1.0.0"

@@ -7,11 +7,12 @@ noprop/prime inputs and fault variables (``Fresh`` nodes) remain free.
 
 A program is closed once, into a ``ClosedProgram``: one step per statement,
 holding its protection-stripped source term, the variables that term reads
-and its nominal closed value.  That is the one place where protection ends:
-the terms it holds carry no protection flags, so nothing downstream strips
-them again.  A declaration's step has no source term; it is where the
-permanent faults on the inputs it declares enter the walk, the way
-``oracle.eval_program`` applies them.  In a single-assignment program
+and its nominal closed value.  That is the one place where protection ends,
+and the only code that computes a protection-free term (term nodes keep no
+protection-free copy): the terms it holds carry no protection flags, so
+nothing downstream strips them again.  A declaration's step has no source
+term; it is where the permanent faults on the inputs it declares enter the
+walk, the way ``oracle.eval_program`` applies them.  In a single-assignment program
 nothing before the declaration reads those inputs.
 
 A faulted run is that closure plus an overlay (``faults.inject``).  One
@@ -43,8 +44,8 @@ from .faults import (
 )
 from .rewriter import Rewriter, TRUE, UNKNOWN
 from .terms import (
-    Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Program, Return, Var,
-    Verify, strip_protection,
+    Assign, Cond, Declare, Expr, Program, Return, Var, Verify,
+    strip_protection,
 )
 
 
@@ -115,7 +116,7 @@ class ClosedProgram:
         env: Dict[str, Expr] = {}
         check = 0
         for st in program.statements:
-            if isinstance(st, (DeclareNoProp, DeclarePrime)):
+            if isinstance(st, Declare):
                 steps.append(_DECLARATION)
                 continue
             if isinstance(st, Assign):

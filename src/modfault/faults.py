@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Expr, Fresh, Or, Program,
-    Return, Statement, Verify, ZERO, replace_at, subterm_at,
+    And, Assign, Cond, Declare, Expr, Fresh, Or, Program, Return, Statement,
+    Verify, ZERO, replace_at, subterm_at,
 )
 
 ZEROING = "zeroing"
@@ -130,7 +130,7 @@ def enumerate_sites(program: Program, cfg: FaultConfig) -> List[FaultSite]:
     sites: List[FaultSite] = []
     check_index = 0
     for idx, st in enumerate(program.statements):
-        if isinstance(st, (DeclareNoProp, DeclarePrime)):
+        if isinstance(st, Declare):
             for name, prot in zip(st.names, st.protected_flags):
                 if not prot:
                     sites.append(FaultSite("permanent", idx, variable=name))

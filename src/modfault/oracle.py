@@ -18,9 +18,8 @@ from .executor import inline
 from .faults import Injection, RANDOMIZING, apply_faults, fault_value, inject
 from .rewriter import Rewriter
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr, Mod,
-    Neq, NeqMod, One, Opp, Or, Pow, Prod, Program, Return, Sum, Var, Verify,
-    Zero,
+    And, Assign, Cond, Declare, Eq, EqMod, Expr, Mod, Neq, NeqMod, One, Opp,
+    Or, Pow, Prod, Program, Return, Sum, Var, Verify, Zero,
 )
 
 PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29)
@@ -50,10 +49,8 @@ class ConcreteEnv:
 def _free_names(program: Program) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     primes, noprops = [], []
     for st in program.statements:
-        if isinstance(st, DeclarePrime):
-            primes.extend(st.names)
-        elif isinstance(st, DeclareNoProp):
-            noprops.extend(st.names)
+        if isinstance(st, Declare):
+            (primes if st.prime else noprops).extend(st.names)
     return tuple(primes), tuple(noprops)
 
 
@@ -225,7 +222,7 @@ def eval_program(target: Union[Program, Injection], env: ConcreteEnv):
     check_index = 0
     for index, st in enumerate(faults.program.statements):
         here = faults.data.get(index, ())
-        if isinstance(st, (DeclareNoProp, DeclarePrime)):
+        if isinstance(st, Declare):
             for fault in here:
                 env.values[fault.site.variable] = eval_expr(fault_value(fault), env)
         elif isinstance(st, Assign):

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr,
-    LanguageError, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod, Program,
-    RESERVED_NAMES, Return, Statement, Sum, Var, Verify, Zero, free_vars,
+    And, Assign, Cond, Declare, Eq, EqMod, Expr, LanguageError, Mod, Neq,
+    NeqMod, One, Opp, Or, Pow, Prod, Program, RESERVED_NAMES, Return,
+    Statement, Sum, Var, Verify, Zero, free_vars,
 )
 
 _KEYWORDS = {"noprop", "prime", "if", "abort", "with", "return", "mod"}
@@ -228,16 +228,11 @@ class _Parser:
 
     def parse_statement(self) -> Statement:
         tok = self.peek()
-        if tok.text == "noprop":
+        if tok.text in ("noprop", "prime"):
             self.next()
             names, flags = self.parse_decl_names()
             self.expect(";", "';' after declaration")
-            return DeclareNoProp(names, flags)
-        if tok.text == "prime":
-            self.next()
-            names, flags = self.parse_decl_names()
-            self.expect(";", "';' after declaration")
-            return DeclarePrime(names, flags)
+            return Declare(names, flags, prime=tok.text == "prime")
         if tok.text == "if":
             self.next()
             cond = self.parse_cond()
@@ -283,7 +278,7 @@ class _Parser:
     def check_statement(self, st: Statement, start: int) -> None:
         """Check the names used and declared by ``st``, the statement parsed
         from token ``start`` on, and declare its names."""
-        if isinstance(st, (DeclareNoProp, DeclarePrime)):
+        if isinstance(st, Declare):
             for tok in self.tokens[start:self.pos]:
                 if tok.kind == "name":
                     self.declare(tok)

@@ -7,9 +7,8 @@ from .parser import (
     LEVEL_POW,
 )
 from .terms import (
-    And, Assign, Cond, DeclareNoProp, DeclarePrime, Eq, EqMod, Expr, Mod,
-    Neq, NeqMod, One, Opp, Or, Pow, Prod, Program, Return, Sum, Var, Verify,
-    Zero,
+    And, Assign, Cond, Declare, Eq, EqMod, Expr, Mod, Neq, NeqMod, One, Opp,
+    Or, Pow, Prod, Program, Return, Sum, Var, Verify, Zero,
 )
 
 
@@ -102,10 +101,9 @@ def pretty(item) -> str:
         raise TypeError(f"cannot pretty-print {item!r}")
     lines = []
     for st in item.statements:
-        if isinstance(st, DeclareNoProp):
-            lines.append(f"noprop {_decl_names(st.names, st.protected_flags)} ;")
-        elif isinstance(st, DeclarePrime):
-            lines.append(f"prime {_decl_names(st.names, st.protected_flags)} ;")
+        if isinstance(st, Declare):
+            keyword = "prime" if st.prime else "noprop"
+            lines.append(f"{keyword} {_decl_names(st.names, st.protected_flags)} ;")
         elif isinstance(st, Assign):
             lines.append(f"{st.target} := {pretty_expr(st.rhs)} ;")
         elif isinstance(st, Verify):

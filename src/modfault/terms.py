@@ -12,12 +12,11 @@ flag included, is built once and shared while it is alive, so equality is
 identity and a node hashes by identity.  A node that dies and is built again
 is a new object with a new hash, so nothing may keep a hash, or a hashed
 container, past the nodes in it.  The facts the rewriter and the executor ask
-of a node on every use (sort key, protection-free twin, whether a fault
-variable occurs in it) are computed once, when it is built.  A condition
-is a node whose fields are all children, so the walkers below (path access
-and replacement, traversal, free variables, protection stripping) and
-``executor.subst`` serve both.  Only statements and programs are frozen
-dataclasses over those nodes.
+of a node on every use (sort key, whether a fault variable occurs in it) are
+computed once, when it is built.  A condition is a node whose fields are all
+children, so the walkers below (path access and replacement, traversal, free
+variables, protection stripping) and ``executor.subst`` serve both.  Only
+statements and programs are frozen dataclasses over those nodes.
 """
 
 from __future__ import annotations
@@ -58,16 +57,14 @@ class Expr:
 
     ``Kind(*fields, protected=flag)`` returns the live node with those fields
     when there is one, so equal terms are one object, ``==`` is identity and
-    the hash is the identity hash.  The canonical sort key, the
-    protection-free twin and the fault-variable bit are fixed when the node
-    is built.
+    the hash is the identity hash.  The canonical sort key and the
+    fault-variable bit are fixed when the node is built.
     """
 
-    # _plain: the protection-free twin, or None when the node is its own.
     # _fresh: the node is, or holds, a Fresh fault variable.
     # _factors: the rewriter's factor multiset of a Prod, a Counter cached on
     # first use and never mutated; None until then and on every other kind.
-    __slots__ = ("protected", "_key", "_kids", "_sort_key", "_plain", "_fresh",
+    __slots__ = ("protected", "_key", "_kids", "_sort_key", "_fresh",
                  "_factors", "__weakref__")
     _fields: Tuple[str, ...] = ()
     # leaf: no children; fixed: every field is a child; nary: one field
@@ -93,16 +90,10 @@ class Expr:
         else:
             kids = values
             order = (cls._rank, *(k._sort_key for k in kids))
-        carries_protection = protected
         fresh = cls is Fresh
         for k in kids:
-            if k._plain is not None:
-                carries_protection = True
             if k._fresh:
                 fresh = True
-        plain = None
-        if carries_protection:
-            plain = cls(*cls._values_over(values, [strip_protection(k) for k in kids]))
         node = object.__new__(cls)
         init = object.__setattr__
         for name, value in zip(cls._fields, values):
@@ -111,20 +102,10 @@ class Expr:
         init(node, "_key", key)
         init(node, "_kids", kids)
         init(node, "_sort_key", order)
-        init(node, "_plain", plain)
         init(node, "_fresh", fresh)
         init(node, "_factors", None)
         _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
-
-    @classmethod
-    def _values_over(cls, values: tuple, kids) -> tuple:
-        """Field values of this kind with the given children."""
-        if cls._shape == "leaf":
-            return values
-        if cls._shape == "nary":
-            return (tuple(kids),)
-        return tuple(kids)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -143,9 +124,13 @@ class Expr:
         return self._kids
 
     def with_children(self, kids) -> "Expr":
-        """The node of this kind, name and protection over other children."""
-        return type(self)(*self._values_over(self._key[1:-1], kids),
-                          protected=self.protected)
+        """The node of this kind and protection over other children; a leaf
+        has no children and returns itself."""
+        if self._shape == "leaf":
+            return self
+        if self._shape == "nary":
+            return type(self)(tuple(kids), protected=self.protected)
+        return type(self)(*kids, protected=self.protected)
 
     def with_protected(self, flag: bool) -> "Expr":
         return type(self)(*self._key[1:-1], protected=flag)
@@ -219,7 +204,10 @@ def sort_key(e: Expr):
 
 def strip_protection(e: Expr) -> Expr:
     """The node with every protection flag below and at it cleared."""
-    return e if e._plain is None else e._plain
+    kids = tuple(strip_protection(k) for k in e._kids)
+    if e.protected:
+        e = e.with_protected(False)
+    return e if kids == e._kids else e.with_children(kids)
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -296,15 +284,11 @@ RESERVED_NAMES = ("_", "@")
 
 
 @dataclass(frozen=True, eq=True)
-class DeclareNoProp:
+class Declare:
+    """A ``noprop`` declaration of inputs, or a ``prime`` one."""
     names: Tuple[str, ...]
     protected_flags: Tuple[bool, ...]
-
-
-@dataclass(frozen=True, eq=True)
-class DeclarePrime:
-    names: Tuple[str, ...]
-    protected_flags: Tuple[bool, ...]
+    prime: bool = False
 
 
 @dataclass(frozen=True, eq=True)
@@ -324,7 +308,7 @@ class Return:
     value: Expr
 
 
-Statement = Union[DeclareNoProp, DeclarePrime, Assign, Verify, Return]
+Statement = Union[Declare, Assign, Verify, Return]
 
 
 @dataclass(frozen=True, eq=True)
@@ -335,14 +319,14 @@ class Program:
     def prime_names(self) -> frozenset:
         names = set()
         for st in self.statements:
-            if isinstance(st, DeclarePrime):
+            if isinstance(st, Declare) and st.prime:
                 names.update(st.names)
         return frozenset(names)
 
     def declared_names(self) -> set:
         names = set()
         for st in self.statements:
-            if isinstance(st, (DeclareNoProp, DeclarePrime)):
+            if isinstance(st, Declare):
                 names.update(st.names)
             elif isinstance(st, Assign):
                 names.add(st.target)

@@ -16,6 +16,8 @@ the prefix's run ended before that statement, the vector makes no call at
 all.
 """
 
+import dataclasses
+
 from modfault import (
     ClosedProgram, FaultConfig, RANDOMIZING, Rewriter, RewriteBudgetExceeded,
     ZEROING, classify, enumerate_sites, enumerate_vectors, inject, inline,
@@ -25,7 +27,7 @@ from modfault.executor import SymbolicRun
 from modfault.faults import _operand_paths, fresh_name_base
 from modfault.rewriter import TRUE, UNKNOWN
 from modfault.terms import (
-    Assign, DeclareNoProp, Fresh, Program, Return, Verify, ZERO, replace_at,
+    Assign, Declare, Fresh, Program, Return, Verify, ZERO, replace_at,
 )
 
 from conftest import CRITERION_7, THREE_FAULTS_PERMANENT
@@ -57,7 +59,7 @@ def reference_inject(program, vector):
 
     out = []
     if fresh_names:
-        out.append(DeclareNoProp(tuple(fresh_names), (False,) * len(fresh_names)))
+        out.append(Declare(tuple(fresh_names), (False,) * len(fresh_names)))
     for idx, st in enumerate(statements):
         faults_here = [f for f in declared_permanents if f.site.statement == idx]
         if not faults_here:
@@ -67,7 +69,7 @@ def reference_inject(program, vector):
         names = tuple(n for n in st.names if n not in faulted)
         flags = tuple(fl for n, fl in zip(st.names, st.protected_flags) if n not in faulted)
         if names:
-            out.append(type(st)(names, flags))
+            out.append(dataclasses.replace(st, names=names, protected_flags=flags))
         for name in st.names:
             f = faulted.get(name)
             if f is not None:

@@ -1,16 +1,16 @@
 import pytest
 
 from modfault import (
-    And, Assign, DeclareNoProp, Eq, EqMod, LanguageError, Mod, Neq, NeqMod,
-    One, Opp, Or, Pow, Prod, Return, Sum, Var, Zero, parse, parse_cond,
-    parse_expr,
+    And, Assign, Declare, Eq, EqMod, LanguageError, Mod, Neq, NeqMod, One,
+    Opp, Or, Pow, Prod, Return, Sum, Var, Zero, parse, parse_cond, parse_expr,
+    pretty,
 )
 
 
 def test_smallest_program():
     p = parse("noprop M ; return M ; _ != @")
     assert len(p.statements) == 2
-    assert p.statements[0] == DeclareNoProp(("M",), (False,))
+    assert p.statements[0] == Declare(("M",), (False,))
     assert p.statements[1] == Return(Var("M"))
     assert p.attack_condition == Neq(Var("_"), Var("@"))
 
@@ -110,10 +110,16 @@ def test_precedence_chain():
 
 def test_protection_braces_mark_nodes():
     p = parse("noprop e ; prime {p} ; dp := { e^-1 mod (p-1) } ; return dp ; _ != @")
-    prime_decl = p.statements[1]
+    noprop_decl, prime_decl = p.statements[:2]
+    assert not noprop_decl.prime
+    assert prime_decl.prime
     assert prime_decl.protected_flags == (True,)
     assign = p.statements[2]
     assert assign.rhs.protected
+    mixed = parse("noprop {x}, y ; prime {p}, q ; return x * y * p * q ; _ != @")
+    assert mixed.statements[:2] == (Declare(("x", "y"), (True, False)),
+                                    Declare(("p", "q"), (True, False), prime=True))
+    assert parse(pretty(mixed)) == mixed
 
 
 def test_neqmod_tokenization():

@@ -81,6 +81,16 @@ def test_strip_protection_reaches_every_level():
     assert strip_protection(parse_expr("{a * b}")) is parse_expr("a * b")
 
 
+def test_building_a_node_interns_no_protection_free_copy():
+    # A protected leaf, a plain leaf and their sum are three nodes; the sum's
+    # protection-free term is built only when strip_protection asks for it.
+    gc.collect()
+    before = len(_INTERNED)
+    e = Sum((Var("copyless_a", protected=True), Var("copyless_b")))
+    assert len(_INTERNED) == before + 3
+    assert strip_protection(e) is Sum((Var("copyless_a"), Var("copyless_b")))
+
+
 def test_pickle_reinterns():
     e = parse_expr("M^{dp} mod ({p} - 1)")
     assert pickle.loads(pickle.dumps(e)) is e
