@@ -56,20 +56,15 @@ def _parse_bool(text: str) -> bool:
 def cmd_analyze(args) -> int:
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     if not formats:
-        print("error: no output format given", file=sys.stderr)
-        return 1
+        raise SystemExit("error: no output format given")
     for fmt in formats:
         if fmt not in FORMATS:
-            print(f"error: unknown format {fmt!r}; choose from {', '.join(FORMATS)}",
-                  file=sys.stderr)
-            return 1
+            raise SystemExit(f"error: unknown format {fmt!r}; "
+                             f"choose from {', '.join(FORMATS)}")
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
     if args.max_vectors < 1:
-        print(f"error: --max-vectors must be >= 1, got {args.max_vectors}",
-              file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: --max-vectors must be >= 1, got {args.max_vectors}")
     outdir = Path(args.out or ".")
     if args.out and any(fmt != "text" for fmt in formats):
         try:
@@ -86,14 +81,12 @@ def cmd_analyze(args) -> int:
             max_vectors=args.max_vectors,
         )
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {err}")
     try:
         report = analyze(program, cfg, path=args.file, source=source,
                          jobs=args.jobs)
     except (EnumerationCapExceeded, AnalysisError, RewriteBudgetExceeded) as err:
-        print(f"error: {args.file}: {err}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {args.file}: {err}")
     name = Path(args.file).stem
     for fmt in formats:
         payload = render(report, fmt)
@@ -125,13 +118,11 @@ def cmd_sites(args) -> int:
 def cmd_oracle(args) -> int:
     program, _ = _load(args.file)
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 1
+        raise SystemExit("error: --trials must be >= 1")
     try:
         report = check_soundness(program, args.trials, args.seed)
     except OracleError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {err}")
     status = "pass" if report.passed else "FAIL"
     print(f"soundness: {status} ({report.trials} trials, {report.failures} failures)")
     if not report.passed:
@@ -140,13 +131,11 @@ def cmd_oracle(args) -> int:
     if args.prop1:
         env = instantiate(program, args.seed)
         if not env.p or not env.q:
-            print("error: the gcd attack check needs two prime inputs", file=sys.stderr)
-            return 1
+            raise SystemExit("error: the gcd attack check needs two prime inputs")
         try:
             successes, trials = prop1_check(env, args.trials, args.seed)
         except OracleError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+            raise SystemExit(f"error: {err}")
         ok = successes >= trials - 1
         print(f"gcd factor recovery: {'pass' if ok else 'FAIL'} "
               f"({successes}/{trials} faulted signatures exposed a factor)")
@@ -161,13 +150,9 @@ def cmd_parse(args) -> int:
     try:
         reparsed = parse(text)
     except LanguageError as err:
-        print(f"error: pretty-printed output does not re-parse: {err}",
-              file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: pretty-printed output does not re-parse: {err}")
     if reparsed != program:
-        print("error: pretty-printed output re-parses to a different program",
-              file=sys.stderr)
-        return 1
+        raise SystemExit("error: pretty-printed output re-parses to a different program")
     sys.stdout.write(text)
     return 0
 

@@ -77,6 +77,8 @@ class FaultConfig:
     max_vectors: int = 5_000_000
 
     def __post_init__(self):
+        # a repeated kind adds no vector: keep its first occurrence
+        object.__setattr__(self, "kinds", tuple(dict.fromkeys(self.kinds)))
         if self.max_faults < 1:
             raise ValueError("max_faults must be >= 1")
         if not self.kinds or any(k not in KIND_ORDER for k in self.kinds):

@@ -24,6 +24,10 @@ from .terms import (
 
 PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29)
 
+# The most bits a power outside any modulus may take: toy values stay far
+# below it, and a tower such as a^(a^a) would not finish.
+_MAX_POW_BITS = 1 << 16
+
 
 class OracleError(Exception):
     pass
@@ -192,6 +196,9 @@ def _eval_pow(e: Pow, env: ConcreteEnv, modulus: Optional[int]) -> int:
         return pow(inv, -exp, modulus)
     if modulus is not None:
         return pow(base, exp, modulus)
+    if abs(base) > 1 and exp * abs(base).bit_length() > _MAX_POW_BITS:
+        raise OracleError(f"a power of {base} to a {exp.bit_length()}-bit exponent "
+                          f"exceeds {_MAX_POW_BITS} bits outside any modulus")
     return base ** exp
 
 

@@ -11,7 +11,9 @@ binary ``-``, ``mod`` (left associative), the comparisons ``=``, ``!=``,
 ``=[m]`` and ``!=[m]`` (not associative), and ``/\`` and ``\/`` (one
 level, left associative).  Parentheses and braces may wrap either kind, at
 any depth.  A term of the wrong kind, such as a condition under ``+`` or an
-expression under ``/\``, is an error located at its first token.
+expression under ``/\``, is an error located at its first token.  One table,
+``OPERATORS``, gives each binary node its token and binding level; the
+printer writes terms by the same table.
 """
 
 from __future__ import annotations
@@ -79,21 +81,24 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-# The binding levels of terms, loosest first: ``printer.py`` parenthesises a
-# child by the same ladder.  Unary minus binds tighter than every binary
-# operator, and an atom tightest.
+# The binding levels of terms, loosest first.  Unary minus binds tighter than
+# every binary operator, and an atom tightest.
 LEVEL_LOGIC, LEVEL_CMP, LEVEL_MOD, LEVEL_ADD, LEVEL_MUL, LEVEL_POW, LEVEL_ATOM = range(-2, 5)
 
-# Binary operators: the level each binds at and the node it builds.
-_BINARY = {
-    "/\\": (LEVEL_LOGIC, And), "\\/": (LEVEL_LOGIC, Or),
-    "=": (LEVEL_CMP, Eq), "!=": (LEVEL_CMP, Neq),
-    "=[": (LEVEL_CMP, EqMod), "!=[": (LEVEL_CMP, NeqMod),
-    "mod": (LEVEL_MOD, Mod), "+": (LEVEL_ADD, Sum), "-": (LEVEL_ADD, Sum),
-    "*": (LEVEL_MUL, Prod), "^": (LEVEL_POW, Pow),
+# Each binary node's operator token and the level it binds at: the parser
+# reads operators by this table and ``printer.py`` writes them by it.
+OPERATORS = {
+    And: ("/\\", LEVEL_LOGIC), Or: ("\\/", LEVEL_LOGIC),
+    Eq: ("=", LEVEL_CMP), Neq: ("!=", LEVEL_CMP),
+    EqMod: ("=[", LEVEL_CMP), NeqMod: ("!=[", LEVEL_CMP),
+    Mod: ("mod", LEVEL_MOD), Sum: ("+", LEVEL_ADD),
+    Prod: ("*", LEVEL_MUL), Pow: ("^", LEVEL_POW),
 }
+# The level each operator binds at and the node it builds; a - b is a + -b.
+_BINARY = {token: (level, node) for node, (token, level) in OPERATORS.items()}
+_BINARY["-"] = _BINARY["+"]
 # The n-ary nodes: a run of + and - builds one Sum, a run of * one Prod.
-_CHAINS = {Sum: ("+", "-"), Prod: ("*",)}
+_NARY = (Sum, Prod)
 
 
 class _Parser:
@@ -166,10 +171,10 @@ class _Parser:
             while True:
                 rhs = self.check_kind(self.peek(), self.parse_term(operand_level), cond)
                 operands.append(Opp(rhs) if op.text == "-" else rhs)
-                if self.peek().text not in _CHAINS.get(node, ()):
+                if node not in _NARY or _BINARY.get(self.peek().text, (0, None))[1] is not node:
                     break
                 op = self.next()
-            term = node(tuple(operands)) if node in _CHAINS else node(*operands, *modulus)
+            term = node(tuple(operands)) if node in _NARY else node(*operands, *modulus)
 
     def parse_unary(self) -> Expr:
         if self.peek().text == "-":

@@ -1,33 +1,17 @@
-"""Pretty-printer; emits source that re-parses to a structurally equal tree."""
+"""Pretty-printer; emits source that re-parses to a structurally equal tree.
+
+Every binary node is written with the token and parenthesised by the binding
+level of the parser's operator table, ``parser.OPERATORS``, so the grammar's
+ladder is spelled in one place.
+"""
 
 from __future__ import annotations
 
-from .parser import (
-    LEVEL_ADD, LEVEL_ATOM, LEVEL_CMP, LEVEL_LOGIC, LEVEL_MOD, LEVEL_MUL,
-    LEVEL_POW,
-)
+from .parser import LEVEL_ATOM, OPERATORS
 from .terms import (
-    And, Assign, Cond, Declare, Eq, EqMod, Expr, Mod, Neq, NeqMod, One, Opp,
-    Or, Pow, Prod, Program, Return, Sum, Var, Verify, Zero,
+    Assign, Declare, EqMod, Expr, NeqMod, One, Opp, Pow, Program, Return, Sum,
+    Var, Verify, Zero,
 )
-
-
-def _level(e: Expr) -> int:
-    """The parser's binding level of ``e``'s node; ``_child`` parenthesises
-    a node that binds looser than its context requires."""
-    if isinstance(e, (And, Or)):
-        return LEVEL_LOGIC
-    if isinstance(e, Cond):
-        return LEVEL_CMP
-    if isinstance(e, Mod):
-        return LEVEL_MOD
-    if isinstance(e, Sum):
-        return LEVEL_ADD
-    if isinstance(e, Prod):
-        return LEVEL_MUL
-    if isinstance(e, Pow):
-        return LEVEL_POW
-    return LEVEL_ATOM  # Zero, One, Var, Opp (unary minus binds tightest)
 
 
 def pretty_expr(e: Expr) -> str:
@@ -50,41 +34,30 @@ def _render(e: Expr) -> str:
         if inner.startswith("-"):
             inner = f"({inner})"  # avoid '--', which opens a comment
         return "-" + inner
+    if type(e) not in OPERATORS:
+        raise TypeError(f"not a term: {e!r}")
+    token, level = OPERATORS[type(e)]
+    # an operand binds tighter than its operator
     if isinstance(e, Pow):
-        # right associative; the base must bind tighter than ^
-        return _child(e.base, LEVEL_ATOM) + "^" + _child(e.exponent, LEVEL_POW)
-    if isinstance(e, Prod):
-        return " * ".join(_child(c, LEVEL_POW) for c in e.operands)
-    if isinstance(e, Sum):
-        parts = [_child(e.operands[0], LEVEL_MUL)]
-        for c in e.operands[1:]:
-            if isinstance(c, Opp) and not c.protected:
-                parts.append("- " + _child(c.arg, LEVEL_MUL))
-            else:
-                parts.append("+ " + _child(c, LEVEL_MUL))
-        return " ".join(parts)
-    if isinstance(e, Mod):
-        return _child(e.body, LEVEL_ADD) + " mod " + _child(e.modulus, LEVEL_ADD)
-    if isinstance(e, Eq):
-        return f"{pretty_expr(e.lhs)} = {pretty_expr(e.rhs)}"
-    if isinstance(e, Neq):
-        return f"{pretty_expr(e.lhs)} != {pretty_expr(e.rhs)}"
-    if isinstance(e, EqMod):
-        return f"{pretty_expr(e.lhs)} =[{pretty_expr(e.modulus)}] {pretty_expr(e.rhs)}"
-    if isinstance(e, NeqMod):
-        return f"{pretty_expr(e.lhs)} !=[{pretty_expr(e.modulus)}] {pretty_expr(e.rhs)}"
-    if isinstance(e, (And, Or)):
-        # an operand that is itself /\ or \/ is always parenthesised
-        op = " /\\ " if isinstance(e, And) else " \\/ "
-        return _child(e.lhs, LEVEL_CMP) + op + _child(e.rhs, LEVEL_CMP)
-    raise TypeError(f"not a term: {e!r}")
+        # right associative: the exponent may be a power itself
+        return _child(e.base, level + 1) + token + _child(e.exponent, level)
+    kids = e.children()
+    if isinstance(e, (EqMod, NeqMod)):
+        lhs, rhs, modulus = (_child(c, level + 1) for c in kids)
+        return f"{lhs} {token}{modulus}] {rhs}"
+    parts = [_child(kids[0], level + 1)]
+    for c in kids[1:]:
+        if isinstance(e, Sum) and isinstance(c, Opp) and not c.protected:
+            parts.append("- " + _child(c.arg, level + 1))
+        else:
+            parts.append(f"{token} {_child(c, level + 1)}")
+    return " ".join(parts)
 
 
 def _child(e: Expr, min_level: int) -> str:
+    """``e`` rendered, parenthesised if it binds looser than ``min_level``."""
     text = pretty_expr(e)
-    if e.protected:
-        return text
-    if _level(e) < min_level:
+    if not e.protected and OPERATORS.get(type(e), ("", LEVEL_ATOM))[1] < min_level:
         return f"({text})"
     return text
 

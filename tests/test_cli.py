@@ -46,6 +46,26 @@ def test_oracle_command(capsys):
     assert "gcd factor recovery: pass" in out
 
 
+def test_oracle_power_tower_maps_to_exit_1(tmp_path, capsys):
+    src = tmp_path / "tower.fj"
+    src.write_text("noprop a ; x := a^(a^a) ; return x ; _ != @\n")
+    assert main(["oracle", str(src), "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "error: a power of" in captured.err
+    assert "bits outside any modulus" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_repeated_kinds_are_counted_once(tmp_path, capsys):
+    assert main(["analyze", FIXED, "--faults", "2", "--kinds", "zeroing,zeroing",
+                 "--protect-conditions", "--max-vectors", "20000", "--jobs", "1"]) == 2
+    assert "13861 injections: 13657 detected, 197 harmless, 7 attacks" in capsys.readouterr().out
+    assert main(["analyze", UNPROTECTED, "--kinds", "zeroing,zeroing", "--jobs", "1",
+                 "--format", "json", "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "unprotected.report.json").read_text())
+    assert report["config"]["kinds"] == ["zeroing"]
+
+
 def test_parse_roundtrip_command(capsys):
     assert main(["parse", UNPROTECTED]) == 0
     out = capsys.readouterr().out

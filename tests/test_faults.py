@@ -88,6 +88,18 @@ def test_vector_counting_formula():
     assert len(list(enumerate_vectors(sites, huge))) == 26
 
 
+@pytest.mark.parametrize("kinds, kept", [
+    ((ZEROING, ZEROING), (ZEROING,)),
+    ((RANDOMIZING, ZEROING, RANDOMIZING), (RANDOMIZING, ZEROING)),
+    ((ZEROING, RANDOMIZING, ZEROING, ZEROING), (ZEROING, RANDOMIZING)),
+])
+def test_repeated_kinds_count_once(kinds, kept):
+    sites = [FaultSite("permanent", i, variable=f"v{i}") for i in range(4)]
+    cfg = FaultConfig(max_faults=2, kinds=kinds)
+    assert cfg.kinds == kept
+    assert count_vectors(len(sites), cfg) == len(list(enumerate_vectors(sites, cfg)))
+
+
 def test_enumeration_is_deterministic(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
     cfg = FaultConfig(max_faults=1)
