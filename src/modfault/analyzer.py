@@ -150,11 +150,10 @@ class _PrefixTree:
         if prefix not in self._records:
             self.outcome(prefix)
         trail, outcome = self._records[prefix]
-        faults = inject(self.closed.program, vector)
         resume = vector[-1].site.statement
         if resume < len(trail):
             trail = trail[:resume + 1]
-            outcome = self._run(faults, trail)
+            outcome = self._run(inject(self.closed.program, vector), trail)
         if len(vector) < self.depth:
             self._records[vector] = (trail, outcome)
         return outcome

@@ -28,6 +28,11 @@ PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29)
 # below it, and a tower such as a^(a^a) would not finish.
 _MAX_POW_BITS = 1 << 16
 
+# The most bits a modulus may take when a negative exponent under it needs
+# its Carmichael function: trial division then stays under 2^16 steps.  The
+# corpus never factors a modulus above 29.
+_MAX_FACTOR_BITS = 32
+
 
 class OracleError(Exception):
     pass
@@ -50,76 +55,53 @@ class ConcreteEnv:
         return ConcreteEnv(new, self.p, self.q)
 
 
-def _free_names(program: Program) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    primes, noprops = [], []
-    for st in program.statements:
-        if isinstance(st, Declare):
-            (primes if st.prime else noprops).extend(st.names)
-    return tuple(primes), tuple(noprops)
-
-
 def instantiate(program: Program, seed: int) -> ConcreteEnv:
-    """Deterministic valid instantiation: distinct toy primes, r coprime to
-    p*q, e invertible modulo (p-1)(q-1), M in [0, p*q)."""
+    """Deterministic instantiation, each input drawn once.
+
+    Prime inputs are distinct toy primes.  The CRT primes p and q are the
+    inputs named ``p`` and ``q``, and otherwise the first other primes
+    declared, so the two differ; one missing is 0.  With both, ``noprop``
+    inputs named M, e and r get M in [0, p*q), e invertible modulo
+    (p-1)(q-1) and r coprime to p*q."""
     rng = random.Random(seed)
-    prime_names, noprop_names = _free_names(program)
-    for _ in range(1000):
-        values: Dict[str, int] = {}
-        chosen = rng.sample(PRIME_POOL, k=len(prime_names)) if prime_names else []
-        for name, value in zip(prime_names, chosen):
-            values[name] = value
-        p = values.get("p", chosen[0] if chosen else 0)
-        q = values.get("q", chosen[1] if len(chosen) > 1 else 0)
-        n = p * q
-        phi = (p - 1) * (q - 1) if n else 0
-        ok = True
-        for name in noprop_names:
-            if name == "M" and n:
-                values[name] = rng.randrange(0, n)
-            elif name == "e" and phi:
-                e = rng.randrange(3, 50)
-                for _ in range(200):
-                    if math.gcd(e, phi) == 1:
-                        break
-                    e = rng.randrange(3, 50)
-                else:
-                    ok = False
-                values[name] = e
-            elif name == "r" and n:
-                r = rng.randrange(2, 40)
-                for _ in range(200):
-                    if math.gcd(r, n) == 1:
-                        break
-                    r = rng.randrange(2, 40)
-                else:
-                    ok = False
-                values[name] = r
-            else:
-                values[name] = rng.randrange(1, 30)
-        if not ok:
-            continue
-        env = ConcreteEnv(values, p, q)
-        if _env_valid(env, n, phi):
-            return env
-    raise OracleError("no valid instantiation found after 1000 retries")
+    declared = [st for st in program.statements if isinstance(st, Declare)]
+    primes = [name for st in declared if st.prime for name in st.names]
+    if len(primes) > len(PRIME_POOL):
+        raise OracleError(f"{len(primes)} prime inputs; the oracle draws from "
+                          f"{len(PRIME_POOL)} toy primes")
+    values: Dict[str, int] = dict(zip(primes, rng.sample(PRIME_POOL, k=len(primes))))
+    others = iter(name for name in primes if name not in ("p", "q"))
+    p = values["p"] if "p" in values else values.get(next(others, None), 0)
+    q = values["q"] if "q" in values else values.get(next(others, None), 0)
+    n = p * q
+    phi = (p - 1) * (q - 1) if n else 0
+    for name in (name for st in declared if not st.prime for name in st.names):
+        if name == "M" and n:
+            values[name] = rng.randrange(0, n)
+        elif name == "e" and phi:
+            values[name] = _coprime(rng, 3, 50, phi)
+        elif name == "r" and n:
+            values[name] = _coprime(rng, 2, 40, n)
+        else:
+            values[name] = rng.randrange(1, 30)
+    return ConcreteEnv(values, p, q)
 
 
-def _env_valid(env: ConcreteEnv, n: int, phi: int) -> bool:
-    if n:
-        if env.p == env.q:
-            return False
-        r = env.values.get("r")
-        if r is not None and math.gcd(r, n) != 1:
-            return False
-        e = env.values.get("e")
-        if e is not None and math.gcd(e, phi) != 1:
-            return False
-    return True
+def _coprime(rng: random.Random, lo: int, hi: int, m: int) -> int:
+    """The first of up to 200 draws from [lo, hi) that is coprime to ``m``."""
+    for _ in range(200):
+        x = rng.randrange(lo, hi)
+        if math.gcd(x, m) == 1:
+            return x
+    raise OracleError(f"200 draws from [{lo}, {hi}) found none coprime to {m}")
 
 
 def _carmichael(m: int) -> int:
     """lambda(m) by toy-scale factorization; exponents live modulo this."""
     m = abs(m)
+    if m.bit_length() > _MAX_FACTOR_BITS:
+        raise OracleError(f"cannot factor a {m.bit_length()}-bit modulus for a negative "
+                          f"exponent; the oracle factors up to {_MAX_FACTOR_BITS} bits")
     if m <= 2:
         return 1
     lam = 1
@@ -184,7 +166,8 @@ def _eval_pow(e: Pow, env: ConcreteEnv, modulus: Optional[int]) -> int:
             raise
         # the rewriter unwraps Fermat-reduced exponents; interpret them
         # modulo lambda of the enclosing ring
-        exp = eval_expr(e.exponent, env, _carmichael(modulus)) % _carmichael(modulus)
+        lam = _carmichael(modulus)
+        exp = eval_expr(e.exponent, env, lam) % lam
     if exp < 0:
         if modulus is None:
             raise _NegativeExponent(f"negative exponent outside a mod context: {exp}")
@@ -290,34 +273,27 @@ def crt_signature(env: ConcreteEnv, sp: int, sq: int) -> int:
 def prop1_check(env: ConcreteEnv, trials: int, seed: int = 0) -> Tuple[int, int]:
     """The gcd attack at toy scale: faulting one half of an unprotected CRT
     signature exposes a prime factor.  Returns (successes, trials)."""
+    if not env.p or not env.q:
+        raise OracleError("the gcd attack check needs two prime inputs")
     missing = [name for name in ("M", "e") if name not in env.values]
     if missing:
         raise OracleError(f"the gcd attack check needs the inputs M and e; "
                           f"missing: {', '.join(missing)}")
     rng = random.Random(seed)
-    p, q = env.p, env.q
-    n = p * q
-    m_msg = env.values["M"]
-    e = env.values["e"]
-    dp = pow(e, -1, p - 1)
-    dq = pow(e, -1, q - 1)
-    sp = pow(m_msg, dp, p)
-    sq = pow(m_msg, dq, q)
-    s = crt_signature(env, sp, sq)
+    primes = (env.p, env.q)
+    m_msg, e = env.values["M"], env.values["e"]
+    try:
+        halves = [pow(m_msg, pow(e, -1, prime - 1), prime) for prime in primes]
+    except ValueError:
+        raise OracleError(f"the gcd attack check needs e invertible modulo p-1 and "
+                          f"q-1; e = {e}") from None
+    n, s = env.p * env.q, crt_signature(env, *halves)
     successes = 0
     for _ in range(trials):
-        if rng.randrange(2):  # fault the q half: recover p
-            bad = rng.randrange(0, q)
-            while bad == sq:
-                bad = rng.randrange(0, q)
-            s_hat = crt_signature(env, sp, bad)
-            if math.gcd(n, s - s_hat) == p:
-                successes += 1
-        else:  # fault the p half: recover q
-            bad = rng.randrange(0, p)
-            while bad == sp:
-                bad = rng.randrange(0, p)
-            s_hat = crt_signature(env, bad, sq)
-            if math.gcd(n, s - s_hat) == q:
-                successes += 1
+        half = rng.randrange(2)  # 1 faults the q half, which exposes p
+        faulted = list(halves)
+        while faulted[half] == halves[half]:
+            faulted[half] = rng.randrange(0, primes[half])
+        if math.gcd(n, s - crt_signature(env, *faulted)) == primes[1 - half]:
+            successes += 1
     return successes, trials

@@ -9,9 +9,12 @@ identity (1+x)^d = 1+d*x (mod x^2).  Distributivity is deliberately absent
 (it is not confluent), so syntactically different normal forms denote
 generically different values.
 
-Terms arrive without protection flags: ``executor.ClosedProgram`` is the one
-place that strips them.  Normal forms never carry the flag either way, because
-``_norm`` rebuilds every node it returns and drops the flag on variables.
+Program terms arrive without protection flags, because
+``executor.ClosedProgram`` strips them.  Attack conditions keep theirs:
+``analyzer.classify`` binds ``program.attack_condition`` as parsed, braces
+included.  Normal forms never carry the flag either way, because ``_norm``
+rebuilds every node it returns and ``_norm_dispatch`` drops the flag on
+variables.
 
 A modulus that normalizes to zero makes the reduction inert: ``Mod(x, 0)``
 is kept as-is and reported as a degenerate modulus, matching the concrete

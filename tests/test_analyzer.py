@@ -62,6 +62,22 @@ def test_unprotected_gcd_attack_surface(corpus_programs):
     assert branches["Sq"] == "_ =[p] @"
 
 
+def test_braces_in_the_attack_condition_change_no_verdict(corpus_sources):
+    plain = corpus_sources["unprotected"]
+    braced = plain.replace("_ != @ /\\ ( _ =[p] @ \\/ _ =[q] @ )",
+                           "{_} != @ /\\ ( _ =[{p}] @ \\/ {_ =[q] @} )")
+    assert braced != plain
+    cfg = FaultConfig(max_faults=1)
+    report = analyze(parse(braced), cfg)
+    assert report.summary == {"total": 56, "detected": 0, "harmless": 14,
+                              "attacks": 42, "failures": 0}
+    plain_results = analyze(parse(plain), cfg).results
+    assert [(v, o.kind, o.witness) for v, o in report.results] == [
+        (v, o.kind, o.witness) for v, o in plain_results]
+    # the satisfied branch is labelled with the source condition, braces included
+    assert {o.branch for _, o in report.attacks()} == {"_ =[{p}] @", "{_ =[q] @}"}
+
+
 def test_coherent_blinding_fault_is_harmless(corpus_programs):
     # randomizing r permanently rewrites every intermediate coherently: the
     # final reduction modulo p*q provably equals the nominal signature

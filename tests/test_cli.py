@@ -186,8 +186,9 @@ def test_max_vectors_cap(capsys):
 
 
 def _run_cli(*argv):
+    # a hang fails its own test instead of running into the CI job's limit
     return subprocess.run([sys.executable, "-m", "modfault.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_console_script_installed():
@@ -201,6 +202,29 @@ def test_gcd_check_without_message_input_maps_to_exit_1(tmp_path):
     assert proc.returncode == 1
     assert "error: the gcd attack check needs the inputs M and e; missing: M" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_oracle_takes_crt_primes_by_name_or_order(tmp_path):
+    src = tmp_path / "q-and-s.fj"
+    src.write_text("prime q, s ;\nnoprop a ;\nx := a mod (q * s) ;\nreturn x ;\n_ != @\n")
+    proc = _run_cli("oracle", str(src))
+    assert proc.returncode == 0, proc.stderr
+    assert "soundness: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("source, message", [
+    ("prime a, b, c, d, f, g, h, i, j ;\nx := a * j ;\nreturn x ;\n_ != @\n",
+     "error: 9 prime inputs; the oracle draws from 8 toy primes"),
+    ("noprop a, b ;\nx := b^(a^-1) mod (a^(a*a) + 1) ;\nreturn x ;\n_ != @\n",
+     "error: cannot factor a "),
+], ids=["nine-primes", "wide-modulus"])
+def test_oracle_input_errors_map_to_exit_1(tmp_path, source, message):
+    src = tmp_path / "bad-input.fj"
+    src.write_text(source)
+    proc = _run_cli("oracle", str(src), "--trials", "5")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message)
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_nominal_abort_names_the_file(tmp_path):

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 
-from modfault import Rewriter, parse_expr
+from modfault import Rewriter, parse, parse_expr
+from modfault import oracle
 from modfault.oracle import (
     ConcreteEnv, OracleError, check_soundness, crt_signature, eval_expr,
     eval_program, instantiate, prop1_check,
@@ -63,6 +66,58 @@ def test_instantiate_is_deterministic_and_valid(corpus_programs):
         assert 0 <= env.values["M"] < n
 
 
+# sha256 over (values, p, q) of instantiate(program, seed) for seeds 0..199,
+# one JSON line per seed; the three vigilant files declare the same inputs.
+PINNED_INSTANTIATIONS = {
+    "unprotected": "05becfbe30f71d6cf9b8f594383f73c9f258d2612e002835008165933e675d22",
+    "vigilant-original": "1c33c7494fc6c86a2326b83cd2e1b37762c9bbfe2afb929d39dc792f51ceff1e",
+    "vigilant-coron": "1c33c7494fc6c86a2326b83cd2e1b37762c9bbfe2afb929d39dc792f51ceff1e",
+    "vigilant-fixed": "1c33c7494fc6c86a2326b83cd2e1b37762c9bbfe2afb929d39dc792f51ceff1e",
+}
+
+
+def test_corpus_instantiations_are_pinned(corpus_programs):
+    for name, prog in corpus_programs.items():
+        digest = hashlib.sha256()
+        for seed in range(200):
+            env = instantiate(prog, seed)
+            digest.update(json.dumps([env.values, env.p, env.q], sort_keys=True).encode()
+                          + b"\n")
+        assert digest.hexdigest() == PINNED_INSTANTIATIONS[name], name
+
+
+def test_gcd_attack_draws_are_pinned(corpus_programs, monkeypatch):
+    # every CRT signature prop1_check builds, in order: a swapped half keeps
+    # the success counts but not these draws
+    digest = hashlib.sha256()
+    original = oracle.crt_signature
+
+    def recorded(env, sp, sq):
+        digest.update(f"{sp} {sq}\n".encode())
+        return original(env, sp, sq)
+
+    monkeypatch.setattr(oracle, "crt_signature", recorded)
+    prog = corpus_programs["unprotected"]
+    for seed in range(50):
+        prop1_check(instantiate(prog, seed), 20, seed)
+    assert digest.hexdigest() == (
+        "af10c5ff07d8ad3680d28327a9afa71d8bcdbdf95233980f9ef98048d961ccc5")
+
+
+def test_crt_primes_are_distinct_by_construction():
+    prog = parse("prime q, s ;\nnoprop a ;\nx := a mod (q * s) ;\nreturn x ;\n_ != @\n")
+    for seed in range(30):
+        env = instantiate(prog, seed)
+        assert (env.p, env.q) == (env.values["s"], env.values["q"])
+        assert env.p != env.q
+
+
+def test_negative_exponent_under_a_wide_modulus_is_an_oracle_error():
+    env = ConcreteEnv({"a": 4, "b": 3})
+    with pytest.raises(OracleError, match="33-bit modulus"):
+        eval_expr(parse_expr("b^(a^-1) mod (a^(a*a) + 1)"), env)
+
+
 def test_nominal_numeric_runs_pass_all_checks(corpus_programs):
     for name, prog in corpus_programs.items():
         for seed in range(25):
@@ -105,6 +160,15 @@ def test_prop1_at_scale(corpus_programs):
     env = instantiate(corpus_programs["unprotected"], seed=5)
     successes, trials = prop1_check(env, trials=100, seed=5)
     assert successes >= trials - 1
+
+
+@pytest.mark.parametrize("env, message", [
+    (ConcreteEnv({"M": 2, "e": 7, "p": 7}, p=7), "two prime inputs"),
+    (ConcreteEnv({"M": 2, "e": 5, "p": 11, "q": 7}, p=11, q=7), "e invertible"),
+], ids=["one-prime", "e-not-invertible"])
+def test_prop1_prerequisites(env, message):
+    with pytest.raises(OracleError, match=message):
+        prop1_check(env, trials=5)
 
 
 def test_gcd_case_analysis():
