@@ -77,11 +77,15 @@ class FaultConfig:
     max_vectors: int = 5_000_000
 
     def __post_init__(self):
+        for k in self.kinds:
+            if k not in KIND_ORDER:
+                raise ValueError(f"unknown fault kind {k!r}; "
+                                 f"choose from {', '.join(KIND_ORDER)}")
         # a repeated kind adds no vector: keep its first occurrence
         object.__setattr__(self, "kinds", tuple(dict.fromkeys(self.kinds)))
         if self.max_faults < 1:
             raise ValueError("max_faults must be >= 1")
-        if not self.kinds or any(k not in KIND_ORDER for k in self.kinds):
+        if not self.kinds:
             raise ValueError(f"kinds must be a non-empty subset of {KIND_ORDER}")
 
 

@@ -309,18 +309,14 @@ class Rewriter:
     # -- deciding -----------------------------------------------------------
 
     def _decide(self, c: Cond) -> bool:
-        if isinstance(c, And):
-            return self._decide(c.lhs) and self._decide(c.rhs)
-        if isinstance(c, Or):
-            return self._decide(c.lhs) or self._decide(c.rhs)
-        if isinstance(c, Eq):
-            return self._equal(c.lhs, c.rhs)
-        if isinstance(c, Neq):
-            return not self._equal(c.lhs, c.rhs)
-        if isinstance(c, EqMod):
-            return self._congruence_delta(c.lhs, c.rhs, c.modulus) == ZERO
-        if isinstance(c, NeqMod):
-            return self._congruence_delta(c.lhs, c.rhs, c.modulus) != ZERO
+        if isinstance(c, (And, Or)):
+            return _connective(c, self._decide, True, False)
+        if isinstance(c, (Eq, Neq)):
+            holds = self._equal(c.lhs, c.rhs)
+            return holds if isinstance(c, Eq) else not holds
+        if isinstance(c, (EqMod, NeqMod)):
+            holds = self._congruence_delta(c.lhs, c.rhs, c.modulus) == ZERO
+            return holds if isinstance(c, EqMod) else not holds
         raise TypeError(f"not a condition: {c!r}")
 
     def _equal(self, lhs: Expr, rhs: Expr) -> bool:
@@ -349,19 +345,14 @@ class Rewriter:
 
     def _lemma_cancel(self, a: Expr, b: Expr, m: Expr) -> Tuple[Expr, Expr, Expr]:
         """a*x = b*x (mod N*x)  reduces to  a = b (mod N); a or b may be zero."""
-        if m == ZERO:
+        if m == ZERO or a == b == ZERO:
             return a, b, m
         fm = _factor_counter(m)
-        fa, sa = _signed_factors(a)
-        fb, sb = _signed_factors(b)
-        if a == ZERO and b == ZERO:
-            return a, b, m
-        if a == ZERO:
-            common = fb & fm
-        elif b == ZERO:
-            common = fa & fm
-        else:
-            common = fa & fb & fm
+        (fa, sa), (fb, sb) = _signed_factors(a), _signed_factors(b)
+        common = fm
+        for t, f in ((a, fa), (b, fb)):
+            if t != ZERO:  # zero is a multiple of every cofactor
+                common = common & f
         if not common:
             return a, b, m
         a2 = a if a == ZERO else self._rebuild_product(fa - common, sa)
@@ -379,29 +370,8 @@ class Rewriter:
     # -- three-valued check deciding ----------------------------------------
 
     def _decide_check(self, c: Cond) -> str:
-        if isinstance(c, And):
-            left = self._decide_check(c.lhs)
-            if left == FALSE:
-                return FALSE
-            right = self._decide_check(c.rhs)
-            if right == FALSE:
-                return FALSE
-            if left == TRUE and right == TRUE:
-                return TRUE
-            return UNKNOWN
-        if isinstance(c, Or):
-            left = self._decide_check(c.lhs)
-            if left == TRUE:
-                return TRUE
-            right = self._decide_check(c.rhs)
-            if right == TRUE:
-                return TRUE
-            if left == FALSE and right == FALSE:
-                return FALSE
-            return UNKNOWN
-        if isinstance(c, (EqMod, NeqMod)):
-            holds = self._check_congruence(c.lhs, c.rhs, c.modulus)
-            return holds if isinstance(c, EqMod) else _negate3(holds)
+        if isinstance(c, (And, Or)):
+            return _connective(c, self._decide_check, TRUE, FALSE)
         if isinstance(c, (Eq, Neq)):
             a = self._norm(c.lhs, None)
             b = self._norm(c.rhs, None)
@@ -410,29 +380,28 @@ class Rewriter:
             else:
                 delta = self._norm(Sum((a, self._mk_opp(b))), None)
                 holds = FALSE if self._generically_nonzero(delta) else UNKNOWN
-            return holds if isinstance(c, Eq) else _negate3(holds)
+            return holds if isinstance(c, Eq) else _NEGATE3[holds]
+        if isinstance(c, (EqMod, NeqMod)):
+            holds = self._check_congruence(c.lhs, c.rhs, c.modulus)
+            return holds if isinstance(c, EqMod) else _NEGATE3[holds]
         raise TypeError(f"not a condition: {c!r}")
 
     def _check_congruence(self, lhs: Expr, rhs: Expr, modulus: Expr) -> str:
         """Three-valued congruence for verifications, decided per CRT
         component: cofactors that cancel in a subring (e.g. a blinding factor
-        congruent to 1 mod r^2) must not mask a fault there."""
+        congruent to 1 mod r^2) must not mask a fault there.  It holds when
+        every component's difference is zero, and fails when some component's
+        is generically nonzero."""
         a, b, m = self._normal_operands(lhs, rhs, modulus)
         difference = Sum((a, Opp(b)))
-        all_zero = True
-        any_fires = False
-        for g in _crt_components(m):
-            delta = self._norm(Mod(difference, g), None)
-            if delta == ZERO:
-                continue
-            all_zero = False
-            if self._generically_nonzero(self._drop_invertible_cofactors(delta, g)):
-                any_fires = True
-        if all_zero:
-            return TRUE
-        if any_fires:
-            return FALSE
-        return UNKNOWN
+        verdicts = [
+            TRUE if delta == ZERO
+            else FALSE if self._generically_nonzero(
+                self._drop_invertible_cofactors(delta, g))
+            else UNKNOWN
+            for g in _crt_components(m)
+            for delta in (self._norm(Mod(difference, g), None),)]
+        return FALSE if FALSE in verdicts else UNKNOWN if UNKNOWN in verdicts else TRUE
 
     def _drop_invertible_cofactors(self, delta: Expr, g: Expr) -> Expr:
         """Cancel cofactors shared by every summand that are explicit inverses.
@@ -444,21 +413,15 @@ class Rewriter:
         """
         body = delta.body if isinstance(delta, Mod) and delta.modulus == g else delta
         summands = body.operands if isinstance(body, Sum) else (body,)
-        counters = []
-        for s in summands:
-            f, _neg = _signed_factors(s)
-            counters.append(f)
-        common = counters[0]
-        for f in counters[1:]:
+        signed = [_signed_factors(s) for s in summands]
+        common = signed[0][0]
+        for f, _neg in signed[1:]:
             common = common & f
         units = Counter({t: n for t, n in common.items()
                          if isinstance(t, Pow) and t.exponent == Opp(ONE)})
         if not units:
             return delta
-        rebuilt = []
-        for s, f in zip(summands, counters):
-            _same, neg = _signed_factors(s)
-            rebuilt.append(self._rebuild_product(f - units, neg))
+        rebuilt = [self._rebuild_product(f - units, neg) for f, neg in signed]
         return self._norm(Mod(Sum(tuple(rebuilt)), g), None)
 
     def _generically_nonzero(self, delta: Expr) -> bool:
@@ -484,12 +447,20 @@ class Rewriter:
         return scan.transparent and not scan.opaque
 
 
-def _negate3(v: str) -> str:
-    if v == TRUE:
-        return FALSE
-    if v == FALSE:
-        return TRUE
-    return UNKNOWN
+def _connective(c: Cond, decide, true, false):
+    r"""Decide ``c``, a ``/\`` or an ``\/``, with ``decide`` over the verdicts
+    ``true`` and ``false``: the left operand first, the right one only when
+    the left does not settle the connective, and ``UNKNOWN`` when the two
+    disagree and neither settles it."""
+    settles = false if isinstance(c, And) else true
+    left = decide(c.lhs)
+    if left == settles:
+        return settles
+    right = decide(c.rhs)
+    return right if right == settles or right == left else UNKNOWN
+
+
+_NEGATE3 = {TRUE: FALSE, FALSE: TRUE, UNKNOWN: UNKNOWN}
 
 
 class _FreshScan:

@@ -39,13 +39,21 @@ class LanguageError(Exception):
 
 # --- expressions -----------------------------------------------------------
 
+class _InternRef(weakref.ref):
+    """A weak reference that carries its intern-table key.  The key is set
+    after construction, so building one runs no Python code, unlike
+    ``weakref.KeyedRef``."""
+
+    __slots__ = ("key",)
+
+
 # Every live node, keyed by kind name, field values and protection flag, as a
 # weak reference that carries its key.  A node leaves the table with its last
 # reference.
-_INTERNED: "dict[tuple, weakref.KeyedRef]" = {}
+_INTERNED: "dict[tuple, _InternRef]" = {}
 
 
-def _forget(ref: weakref.KeyedRef, table=_INTERNED) -> None:
+def _forget(ref: _InternRef, table=_INTERNED) -> None:
     # A node built again after its predecessor died, but before this callback
     # ran, already holds the slot under the same key: leave that entry alone.
     if table.get(ref.key) is ref:
@@ -104,7 +112,8 @@ class Expr:
         init(node, "_sort_key", order)
         init(node, "_fresh", fresh)
         init(node, "_factors", None)
-        _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+        ref = _INTERNED[key] = _InternRef(node, _forget)
+        ref.key = key
         return node
 
     def __setattr__(self, name, value):

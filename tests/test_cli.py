@@ -102,6 +102,8 @@ def test_unknown_flag_maps_to_exit_1(capsys):
 
 def test_bad_kind_maps_to_exit_1(capsys):
     assert main(["analyze", UNPROTECTED, "--kinds", "sparkles"]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown fault kind 'sparkles'; choose from zeroing, randomizing\n"
 
 
 def test_zero_faults_maps_to_exit_1(capsys):

@@ -100,6 +100,15 @@ def test_repeated_kinds_count_once(kinds, kept):
     assert count_vectors(len(sites), cfg) == len(list(enumerate_vectors(sites, cfg)))
 
 
+def test_unknown_kinds_are_refused_by_the_config():
+    # the one check behind the library and the CLI's --kinds
+    with pytest.raises(ValueError, match="^unknown fault kind 'sparkles'; "
+                                         "choose from zeroing, randomizing$"):
+        FaultConfig(kinds=(ZEROING, "sparkles"))
+    with pytest.raises(ValueError, match="non-empty"):
+        FaultConfig(kinds=())
+
+
 def test_enumeration_is_deterministic(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
     cfg = FaultConfig(max_faults=1)

@@ -206,3 +206,77 @@ def test_symbolic_and_numeric_agree_on_faulted_runs(corpus_programs):
             assert eval_expr(normal, env) == value
             checked += 1
     assert checked > 100  # the skip path must not swallow the suite
+
+
+# -- "detected" verdicts the numbers contradict --------------------------------
+
+def _never_aborts(program, vector, seeds=range(40)):
+    """Whether the faulted run evaluates at some seed and aborts at none;
+    fault variables take 3 + seed."""
+    from modfault import inject
+    faults = inject(program, vector)
+    ran = False
+    for seed in seeds:
+        env = instantiate(program, seed)
+        for f in vector:
+            if f.fresh_name:
+                env = env.bind(f.fresh_name, 3 + seed)
+        try:
+            status, _ = eval_program(faults, env)
+        except OracleError:
+            continue  # the fault made an inverse undefined at this seed
+        if status == "error":
+            return False
+        ran = True
+    return ran
+
+
+# Transient zeroings of vigilant-fixed at 1 fault that the analysis reports
+# detected (by the check given last) but that abort at none of 40 seeds.
+# Nine zero a modulus: the rewriter keeps x mod 0 opaque, yet still calls a
+# fault-free residual over it nonzero.  The two at path (2, 0) zero the p of
+# a check's "p - 1" modulus, and the rewriter does not fold a reduction
+# modulo -1 to zero.  None meets the attack condition, so no attack is
+# hidden; the fix must empty this list and update the corpus counts.
+UNSOUND_DETECTIONS = [
+    (6, (0, 1), 0), (9, (0, 1), 0), (10, (0, 1), 0), (13, (0, 1), 2),
+    (14, (2, 0), 1), (18, (0, 1), 3), (21, (0, 1), 3), (22, (0, 1), 3),
+    (25, (0, 1), 5), (26, (2, 0), 4), (29, (0, 1, 1, 1), 6),
+]
+
+
+def test_unsound_detections_are_pinned(corpus_programs):
+    from modfault import DETECTED, FaultConfig, ZEROING, analyze
+    program = corpus_programs["vigilant-fixed"]
+    report = analyze(program, FaultConfig(max_faults=1), jobs=1)
+    unsound = []
+    for vector, outcome in report.results:
+        if outcome.kind == DETECTED and _never_aborts(program, vector):
+            (fault,) = vector
+            assert (fault.site.scope, fault.kind) == ("transient", ZEROING)
+            unsound.append((fault.site.statement, fault.site.path, outcome.detected_by))
+    assert unsound == UNSOUND_DETECTIONS
+
+
+CRT_WITH_ONE_CHECK = """
+noprop M, e ; prime p, q ;
+Sp := M^e mod p ; Sq := M^e mod q ;
+S := Sq + q * ((q^-1 mod p) * (Sp - Sq) mod p) ;
+if S !=[p] Sp \\/ S !=[q] Sq abort with 0 ;
+return S ;
+_ != @ /\\ ( _ =[p] @ \\/ _ =[q] @ )
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="a zeroed modulus counts as detected")
+def test_a_zeroed_modulus_hides_an_attack():
+    # Zeroing the outer p of the recombination is reported detected by the
+    # check, but numerically the check never fires and the result meets the
+    # attack condition at 32 of 40 seeds.
+    from modfault import ATTACK, FaultConfig, ZEROING, analyze
+    program = parse(CRT_WITH_ONE_CHECK)
+    report = analyze(program, FaultConfig(max_faults=1, kinds=(ZEROING,)), jobs=1)
+    (vector, outcome), = [(v, o) for v, o in report.results
+                          if (v[0].site.statement, v[0].site.path) == (4, (0, 1, 1, 1))]
+    assert _never_aborts(program, vector)
+    assert outcome.kind == ATTACK

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfault import (
-    EqMod, FaultConfig, Fresh, Mod, Neq, NeqMod, One, Opp, Pow, Prod, RANDOMIZING,
-    RewriteBudgetExceeded, Rewriter, Sum, Var, ZEROING, Zero, Eq, analyze,
-    parse_cond, parse_expr,
+    And, EqMod, FaultConfig, Fresh, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod,
+    RANDOMIZING, RewriteBudgetExceeded, Rewriter, Sum, Var, ZEROING, Zero, Eq,
+    analyze, parse_cond, parse_expr,
 )
 from modfault.oracle import ConcreteEnv, eval_expr
-from modfault.rewriter import TRUE, UNKNOWN, _is_multiple
+from modfault.rewriter import (
+    FALSE, TRUE, UNKNOWN, _crt_components, _factor_counter, _is_multiple,
+    _signed_factors,
+)
 from modfault.terms import _INTERNED, sort_key, walk
 
 V = Var
@@ -442,3 +445,268 @@ def test_cached_factor_multisets_are_never_mutated(monkeypatch, corpus_programs)
     assert cached
     for node in cached:
         assert node._factors == Counter(node.operands)
+
+
+# -- the deciders against the parent's ----------------------------------------
+
+def reference_negate3(v):
+    if v == TRUE:
+        return FALSE
+    if v == FALSE:
+        return TRUE
+    return UNKNOWN
+
+
+class ReferenceRewriter(Rewriter):
+    """The deciders as they were when each spelled out its own connectives
+    and both polarities of every comparison."""
+
+    def _decide(self, c):
+        if isinstance(c, And):
+            return self._decide(c.lhs) and self._decide(c.rhs)
+        if isinstance(c, Or):
+            return self._decide(c.lhs) or self._decide(c.rhs)
+        if isinstance(c, Eq):
+            return self._equal(c.lhs, c.rhs)
+        if isinstance(c, Neq):
+            return not self._equal(c.lhs, c.rhs)
+        if isinstance(c, EqMod):
+            return self._congruence_delta(c.lhs, c.rhs, c.modulus) == Zero()
+        if isinstance(c, NeqMod):
+            return self._congruence_delta(c.lhs, c.rhs, c.modulus) != Zero()
+        raise TypeError(f"not a condition: {c!r}")
+
+    def _lemma_cancel(self, a, b, m):
+        if m == Zero():
+            return a, b, m
+        fm = _factor_counter(m)
+        fa, sa = _signed_factors(a)
+        fb, sb = _signed_factors(b)
+        if a == Zero() and b == Zero():
+            return a, b, m
+        if a == Zero():
+            common = fb & fm
+        elif b == Zero():
+            common = fa & fm
+        else:
+            common = fa & fb & fm
+        if not common:
+            return a, b, m
+        a2 = a if a == Zero() else self._rebuild_product(fa - common, sa)
+        b2 = b if b == Zero() else self._rebuild_product(fb - common, sb)
+        m2 = self._rebuild_product(fm - common, False)
+        return a2, b2, m2
+
+    def _decide_check(self, c):
+        if isinstance(c, And):
+            left = self._decide_check(c.lhs)
+            if left == FALSE:
+                return FALSE
+            right = self._decide_check(c.rhs)
+            if right == FALSE:
+                return FALSE
+            if left == TRUE and right == TRUE:
+                return TRUE
+            return UNKNOWN
+        if isinstance(c, Or):
+            left = self._decide_check(c.lhs)
+            if left == TRUE:
+                return TRUE
+            right = self._decide_check(c.rhs)
+            if right == TRUE:
+                return TRUE
+            if left == FALSE and right == FALSE:
+                return FALSE
+            return UNKNOWN
+        if isinstance(c, (EqMod, NeqMod)):
+            holds = self._check_congruence(c.lhs, c.rhs, c.modulus)
+            return holds if isinstance(c, EqMod) else reference_negate3(holds)
+        if isinstance(c, (Eq, Neq)):
+            a = self._norm(c.lhs, None)
+            b = self._norm(c.rhs, None)
+            if self._equal_normal(a, b):
+                holds = TRUE
+            else:
+                delta = self._norm(Sum((a, self._mk_opp(b))), None)
+                holds = FALSE if self._generically_nonzero(delta) else UNKNOWN
+            return holds if isinstance(c, Eq) else reference_negate3(holds)
+        raise TypeError(f"not a condition: {c!r}")
+
+    def _check_congruence(self, lhs, rhs, modulus):
+        a, b, m = self._normal_operands(lhs, rhs, modulus)
+        difference = Sum((a, Opp(b)))
+        all_zero = True
+        any_fires = False
+        for g in _crt_components(m):
+            delta = self._norm(Mod(difference, g), None)
+            if delta == Zero():
+                continue
+            all_zero = False
+            if self._generically_nonzero(self._drop_invertible_cofactors(delta, g)):
+                any_fires = True
+        if all_zero:
+            return TRUE
+        if any_fires:
+            return FALSE
+        return UNKNOWN
+
+    def _drop_invertible_cofactors(self, delta, g):
+        body = delta.body if isinstance(delta, Mod) and delta.modulus == g else delta
+        summands = body.operands if isinstance(body, Sum) else (body,)
+        counters = []
+        for s in summands:
+            f, _neg = _signed_factors(s)
+            counters.append(f)
+        common = counters[0]
+        for f in counters[1:]:
+            common = common & f
+        units = Counter({t: n for t, n in common.items()
+                         if isinstance(t, Pow) and t.exponent == Opp(One())})
+        if not units:
+            return delta
+        rebuilt = []
+        for s, f in zip(summands, counters):
+            _same, neg = _signed_factors(s)
+            rebuilt.append(self._rebuild_product(f - units, neg))
+        return self._norm(Mod(Sum(tuple(rebuilt)), g), None)
+
+
+class NormLog:
+    """Records every ``_norm`` call, so two rewriters' call orders compare."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.norm_calls = []
+
+    def _norm(self, e, ctx):
+        self.norm_calls.append((e, ctx))
+        return super()._norm(e, ctx)
+
+
+class LoggedRewriter(NormLog, Rewriter):
+    pass
+
+
+class LoggedReference(NormLog, ReferenceRewriter):
+    pass
+
+
+# Operand triples (lhs, rhs, modulus) chosen so that, between the four
+# comparison kinds, every verdict of both deciders occurs: equal terms,
+# residues equal in their ring, structural deviations, fault variables that
+# enter transparently, fault variables under a power with a cofactor
+# (unknown), a cancellation-lemma cofactor, a CRT modulus and an inverse
+# cofactor in one component.
+def _operand_pool():
+    f1 = Fresh("f1")
+    pool = [
+        ("x", "x", "N"),
+        ("(x + N * k) mod N", "x mod N", "N"),
+        ("a", "b", "N"),
+        ("a + N * k", "a", "N"),
+        ("a * x", "b * x", "N * x"),
+        ("N * x * y", "0", "N * x"),
+        ("a * p * q", "0", "p * q"),
+        ("a * (b^-1)", "c * (b^-1)", "p * q"),
+        ("M^e mod p", "M^e mod p", "p * q"),
+        ("M^(e mod (p - 1)) mod p", "M^e mod p", "p"),
+    ]
+    triples = [tuple(pe(t) for t in triple) for triple in pool]
+    triples += [
+        (Prod((V("a"), Pow(f1, V("e")))), Prod((V("a"), Pow(V("b"), V("e")))), V("N")),
+        (Sum((V("a"), f1)), V("a"), V("N")),
+        (Prod((V("a"), Pow(f1, V("e")))), Prod((V("a"), Pow(V("b"), V("e")))),
+         pe("p * q")),
+        (Mod(V("x"), f1), V("x"), V("p")),
+        (f1, Zero(), pe("p * q")),
+    ]
+    return triples
+
+
+OPERANDS = _operand_pool()
+COMPARISONS = (Eq, Neq, EqMod, NeqMod)
+
+
+def _comparison(kind, triple):
+    lhs, rhs, modulus = triple
+    return kind(lhs, rhs, modulus) if kind in (EqMod, NeqMod) else kind(lhs, rhs)
+
+
+def comparisons():
+    return st.builds(_comparison, st.sampled_from(COMPARISONS), st.sampled_from(OPERANDS))
+
+
+def connective_trees(depth=4):
+    """``/\\`` and ``\\/`` trees of comparisons, at most ``depth`` deep."""
+    if depth == 0:
+        return comparisons()
+    sub = connective_trees(depth - 1)
+    return st.one_of(comparisons(), st.builds(And, sub, sub), st.builds(Or, sub, sub))
+
+
+def _run(rw, decide, c):
+    try:
+        verdict = decide(rw, c)
+    except RewriteBudgetExceeded:
+        verdict = RewriteBudgetExceeded
+    return verdict, rw._steps
+
+
+def test_operand_pool_covers_every_kind_and_verdict():
+    seen = {Rewriter.decide: set(), Rewriter.decide_check: set()}
+    for kind in COMPARISONS:
+        for decide, verdicts in seen.items():
+            found = {decide(Rewriter(primes={"p", "q"}), _comparison(kind, t))
+                     for t in OPERANDS}
+            verdicts.update((kind, v) for v in found)
+    assert seen[Rewriter.decide] == {(k, v) for k in COMPARISONS for v in (True, False)}
+    assert seen[Rewriter.decide_check] == {
+        (k, v) for k in COMPARISONS for v in (TRUE, FALSE, UNKNOWN)}
+
+
+@given(st.lists(connective_trees(), min_size=1, max_size=3),
+       st.sampled_from((3, 8, 20, 100_000)))
+@settings(max_examples=400, deadline=None)
+def test_deciders_match_the_reference(conds, max_steps):
+    # One rewriter per side decides the conditions in turn, so later calls
+    # meet a warm memo; each call's verdict, step charge and _norm calls
+    # must match, and so must a budget overrun.
+    for decide in (Rewriter.decide, Rewriter.decide_check):
+        new = LoggedRewriter(primes={"p", "q"}, max_steps=max_steps)
+        ref = LoggedReference(primes={"p", "q"}, max_steps=max_steps)
+        for c in conds:
+            assert _run(new, decide, c) == _run(ref, decide, c)
+            assert new.norm_calls == ref.norm_calls
+
+
+@pytest.mark.parametrize("c, opens", [
+    ("x = x /\\ {deep} = y", True), ("x = y /\\ {deep} = y", False),
+    ("x = y \\/ {deep} = y", True), ("x = x \\/ {deep} = y", False),
+])
+def test_only_the_right_operand_exceeds_the_budget(c, opens):
+    # The left operand leaves the connective open, or settles it, within a
+    # tight budget; only the right operand's sum of 40 distinct variables
+    # exceeds it.
+    c = parse_cond(c.format(deep="(" + " + ".join(f"x{i}" for i in range(40)) + ")"))
+    for decide in (Rewriter.decide, Rewriter.decide_check):
+        new = LoggedRewriter(max_steps=20)
+        ref = LoggedReference(max_steps=20)
+        outcome = _run(new, decide, c)
+        assert outcome == _run(ref, decide, c)
+        assert new.norm_calls == ref.norm_calls
+        assert (outcome[0] is RewriteBudgetExceeded) == opens
+
+
+# -- detections the numbers contradict (see test_oracle's pinned list) ---------
+
+@pytest.mark.xfail(strict=True, reason="a residual over x mod 0 counts as nonzero")
+def test_a_zeroed_modulus_fires_no_check(rw):
+    # The oracle reads x mod 0 as x, so the inequality never holds.
+    assert rw.decide_check(parse_cond("(x mod 0) !=[p] x")) != TRUE
+
+
+@pytest.mark.xfail(strict=True, reason="a reduction modulo -1 is not folded to zero")
+def test_a_modulus_of_minus_one_is_a_modulus_of_one(rw):
+    assert rw.normalize(pe("a mod (0 - 1)")) == Zero()
+    assert rw.decide_check(parse_cond("a !=[0 - 1] b")) == \
+        rw.decide_check(parse_cond("a !=[1] b"))

@@ -13,7 +13,7 @@ from modfault import (
     Zero, parse_cond, parse_expr,
 )
 from modfault.terms import (
-    _INTERNED, _forget, free_vars, sort_key, strip_protection, walk,
+    _INTERNED, _InternRef, _forget, free_vars, sort_key, strip_protection, walk,
 )
 
 NAMES = ("a", "b", "p", "q", "M", "x_1")
@@ -130,7 +130,10 @@ def test_a_dead_nodes_callback_spares_its_successor():
     # The callback of a node's reference may run after an equal node took
     # the key; it must not remove the successor's entry.
     e = Var("successor")
-    stale = weakref.KeyedRef(Var("stale"), _forget, e._key)
+    stale_node = Var("stale")
+    stale = _InternRef(stale_node, _forget)
+    stale.key = e._key
+    del stale_node  # runs the callback, as the dead node's would
     _forget(stale)
     assert _INTERNED[e._key]() is e
     assert Var("successor") is e
