@@ -1,7 +1,8 @@
 """Command-line driver.
 
-Exit codes: 0 clean (no attacks, no failures), 1 usage or input error,
-2 at least one attack found, 3 analysis failures (budget exhaustion).
+Exit codes: 0 clean (no attacks, no failures), 1 usage or input error, or
+stdout closed by its reader (as by ``| head``), 2 at least one attack found,
+3 analysis failures (budget exhaustion).
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def cmd_analyze(args) -> int:
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    # a repeated format renders once: keep its first occurrence
+    formats = list(dict.fromkeys(f.strip() for f in args.format.split(",") if f.strip()))
     if not formats:
         raise SystemExit("error: no output format given")
     for fmt in formats:
@@ -196,7 +198,15 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and send what is still
+        # buffered to devnull so that the flush at exit cannot fail again
+        # (the recipe in the Python ``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except RecursionError:
         # every subcommand walks terms recursively; the pool re-raises a
         # worker's error here too

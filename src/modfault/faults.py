@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .terms import (
-    And, Assign, Cond, Declare, Expr, Fresh, Or, Program, Return, Statement,
-    Verify, ZERO, replace_at, subterm_at,
+    And, Assign, Cond, Declare, Expr, Fresh, Or, Program, Return, Verify, ZERO,
+    replace_at,
 )
 
 ZEROING = "zeroing"
@@ -89,44 +89,29 @@ class FaultConfig:
             raise ValueError(f"kinds must be a non-empty subset of {KIND_ORDER}")
 
 
-def _statement_slots(st: Statement, protect_conditions: bool) -> List[Tuple[int, Expr]]:
-    """Faultable expression holes of a statement: (slot index, expression)."""
-    if isinstance(st, Assign):
-        return [(0, st.rhs)]
-    if isinstance(st, Return):
-        return [(0, st.value)]
-    if isinstance(st, Verify) and not protect_conditions:
-        return [(slot, subterm_at(st.condition, path))
-                for slot, path in enumerate(_operand_paths(st.condition))
-                if not _crosses_protection(st.condition, path)]
-    return []
-
-
-def _crosses_protection(e: Expr, path: Tuple[int, ...]) -> bool:
-    """Whether a node on the path down from ``e``, ``e`` included, is
-    protected: the operands of a protected sub-condition are not faultable."""
-    if e.protected:
-        return True
-    for i in path:
-        e = e.children()[i]
-        if e.protected:
-            return True
-    return False
+def _operands(c: Cond, path: Tuple[int, ...] = (), protected: bool = False,
+              ) -> Iterator[Tuple[Tuple[int, ...], Expr, bool]]:
+    """A condition's comparison operands, left to right, each with its path
+    and whether it or a node above it is protected: a verification's
+    transient sites are numbered by slot in this order, and the operands of
+    a protected sub-condition are not faultable."""
+    protected = protected or c.protected
+    for i, sub in enumerate(c.children()):
+        if isinstance(c, (And, Or)):
+            yield from _operands(sub, path + (i,), protected)
+        else:
+            yield path + (i,), sub, protected or sub.protected
 
 
 def _operand_paths(c: Cond) -> List[Tuple[int, ...]]:
-    """Paths to a condition's comparison operands, left to right: a
-    verification's transient sites are numbered by slot in this list."""
-    if isinstance(c, (And, Or)):
-        return [(i, *path) for i, sub in enumerate(c.children())
-                for path in _operand_paths(sub)]
-    return [(i,) for i in range(len(c.children()))]
+    """Paths to a condition's comparison operands, left to right."""
+    return [path for path, _operand, _protected in _operands(c)]
 
 
-def _walk_unprotected(e: Expr, path: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Expr]]:
+def _walk_unprotected(e: Expr, path: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
     if e.protected:
         return
-    yield path, e
+    yield path
     for i, c in enumerate(e.children()):
         yield from _walk_unprotected(c, path + (i,))
 
@@ -136,6 +121,7 @@ def enumerate_sites(program: Program, cfg: FaultConfig) -> List[FaultSite]:
     sites: List[FaultSite] = []
     check_index = 0
     for idx, st in enumerate(program.statements):
+        reads: List[Tuple[int, Expr]] = []  # faultable reads: (slot, expression)
         if isinstance(st, Declare):
             for name, prot in zip(st.names, st.protected_flags):
                 if not prot:
@@ -143,13 +129,19 @@ def enumerate_sites(program: Program, cfg: FaultConfig) -> List[FaultSite]:
         elif isinstance(st, Assign):
             if not st.rhs.protected:
                 sites.append(FaultSite("permanent", idx, variable=st.target))
+            reads = [(0, st.rhs)]
+        elif isinstance(st, Return):
+            reads = [(0, st.value)]
         elif isinstance(st, Verify):
             if not (cfg.protect_conditions or st.condition.protected):
                 sites.append(FaultSite("check", idx, check=check_index))
             check_index += 1
+            if not cfg.protect_conditions:
+                reads = [(slot, operand) for slot, (_path, operand, protected)
+                         in enumerate(_operands(st.condition)) if not protected]
         if cfg.transient_enabled:
-            for slot, expr in _statement_slots(st, cfg.protect_conditions):
-                for path, _node in _walk_unprotected(expr, (slot,)):
+            for slot, expr in reads:
+                for path in _walk_unprotected(expr, (slot,)):
                     sites.append(FaultSite("transient", idx, path=path))
     return sites
 

@@ -14,18 +14,24 @@ any depth.  A term of the wrong kind, such as a condition under ``+`` or an
 expression under ``/\``, is an error located at its first token.  One table,
 ``OPERATORS``, gives each binary node its token and binding level; the
 printer writes terms by the same table.
+
+Every name must be declared, by ``noprop``, ``prime`` or an assignment,
+before it is read, and once only; an assignment's target is declared after
+its right-hand side.  ``_`` and ``@`` may appear only in the attack
+condition.  The parser checks each name as it reads it, so an error names
+the first offending token in reading order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .terms import (
     And, Assign, Cond, Declare, Eq, EqMod, Expr, LanguageError, Mod, Neq,
-    NeqMod, One, Opp, Or, Pow, Prod, Program, RESERVED_NAMES, Return,
-    Statement, Sum, Var, Verify, Zero, free_vars,
+    NeqMod, One, Opp, Or, Pow, Prod, Program, Return, Statement, Sum, Var,
+    Verify, Zero,
 )
 
 _KEYWORDS = {"noprop", "prime", "if", "abort", "with", "return", "mod"}
@@ -103,6 +109,9 @@ _NARY = (Sum, Prod)
 
 class _Parser:
     pos = 0  # index of the next token; only next() moves it
+    # what the names being read belong to, as an error names it; with None
+    # (``parse_expr``, ``parse_cond``) names are not checked
+    reading: Optional[str] = None
 
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -200,7 +209,7 @@ class _Parser:
             self.next()
             return One()
         if tok.kind in ("name", "special"):
-            self.next()
+            self.read_name(self.next())
             return Var(tok.text)
         raise self.error(f"expected an expression, found {tok.text!r}"
                          if tok.text else "unexpected end of input in expression")
@@ -221,7 +230,7 @@ class _Parser:
                     tok.line, tok.col)
             if tok.kind != "name":
                 raise self.error("expected a variable name in declaration")
-            self.next()
+            self.declare(self.next())
             if protected:
                 self.expect("}")
             names.append(tok.text)
@@ -240,79 +249,63 @@ class _Parser:
             return Declare(names, flags, prime=tok.text == "prime")
         if tok.text == "if":
             self.next()
+            self.reading = "verification"
             cond = self.parse_cond()
             self.expect("abort")
             self.expect("with")
+            self.reading = "abort value"
             value = self.parse_expr()
             self.expect(";", "';' after verification")
             return Verify(cond, value)
         if tok.text == "return":
             self.next()
+            self.reading = "return"
             value = self.parse_expr()
             self.expect(";", "';' after return")
             return Return(value)
         if tok.kind == "name":
             self.next()
             self.expect(":=", "':=' in assignment")
+            self.reading = f"assignment to {tok.text!r}"
             rhs = self.parse_expr()
             self.expect(";", "';' after assignment")
+            self.declare(tok)
             return Assign(tok.text, rhs)
         raise self.error(f"expected a statement, found {tok.text!r}"
                          if tok.text else "unexpected end of input")
 
     def parse_program(self) -> Program:
         statements: List[Statement] = []
-        saw_return = False
-        while not saw_return:
+        while not statements or not isinstance(statements[-1], Return):
             if self.peek().kind == "eof":
                 raise self.error("missing 'return' statement")
-            start = self.pos
-            st = self.parse_statement()
-            self.check_statement(st, start)
-            statements.append(st)
-            saw_return = isinstance(st, Return)
+            statements.append(self.parse_statement())
         if self.peek().kind == "eof":
             raise self.error("missing attack success condition after return")
-        start = self.pos
-        condition = self.parse_cond()
-        self.check_uses(free_vars(condition) - set(RESERVED_NAMES), "attack condition", start)
-        return Program(tuple(statements), condition)
+        self.reading = "attack condition"
+        return Program(tuple(statements), self.parse_cond())
 
     # -- names ------------------------------------------------------------
-
-    def check_statement(self, st: Statement, start: int) -> None:
-        """Check the names used and declared by ``st``, the statement parsed
-        from token ``start`` on, and declare its names."""
-        if isinstance(st, Declare):
-            for tok in self.tokens[start:self.pos]:
-                if tok.kind == "name":
-                    self.declare(tok)
-        elif isinstance(st, Assign):
-            self.check_uses(free_vars(st.rhs), f"assignment to {st.target!r}", start + 1)
-            self.declare(self.tokens[start])
-        elif isinstance(st, Verify):
-            self.check_uses(free_vars(st.condition), "verification", start)
-            self.check_uses(free_vars(st.abort_value), "abort value", start)
-        elif isinstance(st, Return):
-            self.check_uses(free_vars(st.value), "return", start)
 
     def declare(self, tok: Token) -> None:
         if tok.text in self.declared:
             raise LanguageError(f"duplicate declaration of {tok.text!r}", tok.line, tok.col)
         self.declared.add(tok.text)
 
-    def check_uses(self, used: Set[str], where: str, start: int) -> None:
-        """Each name in ``used`` must be declared and not reserved; an error
-        is located at the name's first token from ``start`` on."""
-        for name in sorted(used):
-            if name in RESERVED_NAMES:
-                message = f"reserved identifier {name!r} used outside the attack condition"
-            elif name not in self.declared:
-                message = f"use of undeclared identifier {name!r} in {where}"
-            else:
-                continue
-            tok = next(t for t in self.tokens[start:self.pos] if t.text == name)
-            raise LanguageError(message, tok.line, tok.col)
+    def read_name(self, tok: Token) -> None:
+        """Check the name ``tok`` as it is read: it must be declared, and
+        ``_`` and ``@`` are read only in the attack condition."""
+        if self.reading is None:
+            return
+        if tok.kind == "special":
+            if self.reading != "attack condition":
+                raise LanguageError(
+                    f"reserved identifier {tok.text!r} used outside the attack condition",
+                    tok.line, tok.col)
+        elif tok.text not in self.declared:
+            raise LanguageError(
+                f"use of undeclared identifier {tok.text!r} in {self.reading}",
+                tok.line, tok.col)
 
 
 def _parse_all(source: str, rule, what: str):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from modfault.cli import main
+from modfault.reporting import render
 
 from conftest import CORPUS_FILES
 
@@ -64,6 +66,22 @@ def test_repeated_kinds_are_counted_once(tmp_path, capsys):
                  "--format", "json", "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "unprotected.report.json").read_text())
     assert report["config"]["kinds"] == ["zeroing"]
+
+
+def test_repeated_formats_render_once(tmp_path, monkeypatch, capsys):
+    rendered = []
+
+    def recording_render(report, fmt):
+        rendered.append(fmt)
+        return render(report, fmt)
+
+    monkeypatch.setattr("modfault.cli.render", recording_render)
+    assert main(["analyze", UNPROTECTED, "--jobs", "1", "--format",
+                 "json,text,json, text", "--out", str(tmp_path)]) == 2
+    assert rendered == ["json", "text"]
+    out = capsys.readouterr().out
+    assert out.count("injections:") == 1
+    assert out.count("wrote ") == 1
 
 
 def test_parse_roundtrip_command(capsys):
@@ -281,3 +299,22 @@ def test_deep_term_maps_to_exit_1(tmp_path, name, argv):
     assert proc.returncode == 1
     assert f"error: {deep}: terms nest too deeply to analyze" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", UNPROTECTED, "--jobs", "1"],
+    ["sites", UNPROTECTED],
+    ["parse", UNPROTECTED],
+], ids=["analyze", "sites", "parse"])
+def test_closed_stdout_maps_to_exit_1(argv):
+    # the reader is gone before the first byte, as when `| head` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "modfault.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

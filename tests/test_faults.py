@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfault import (
     ClosedProgram, EnumerationCapExceeded, FaultConfig, RANDOMIZING, Rewriter,
@@ -11,8 +13,12 @@ from modfault.analyzer import _PrefixTree
 from modfault.faults import Fault, FaultSite, apply_faults, fresh_name_base
 from modfault.oracle import eval_program, instantiate
 from modfault.terms import (
-    Fresh, Prod, Var, Verify, Zero, free_vars, subterm_at, walk,
+    And, Assign, Declare, Fresh, Neq, One, Or, Program, Prod, Return, Var,
+    Verify, Zero, free_vars, subterm_at, walk,
 )
+
+from conftest import CORPUS_FILES
+from test_printer import conds, exprs
 
 
 def _permanent_vars(sites):
@@ -231,3 +237,99 @@ def test_protected_sub_condition_has_no_transient_sites():
 def test_fresh_base_avoids_collisions():
     p = parse("noprop f1 ; return f1 ; _ != @")
     assert fresh_name_base(p) != "f"
+
+
+def test_operands_of_a_protected_sub_condition_are_not_faultable():
+    p = parse("noprop x, y, z ; if {x = y /\\ {z != 0}} \\/ x = z abort with 0 ;"
+              " return x ; _ != @")
+    sites = enumerate_sites(p, FaultConfig())
+    # slots 0 to 3 sit under the braces; x = z holds slots 4 and 5
+    assert {s.path for s in sites if s.scope == "transient" and s.statement == 1} \
+        == {(4,), (5,)}
+
+
+# The site enumerator that walked each verification operand three times (once
+# to number it, once to descend to it, once to look for protection above it),
+# kept as the reference that enumerate_sites must match site for site.
+
+def reference_operand_paths(c):
+    if isinstance(c, (And, Or)):
+        return [(i, *path) for i, sub in enumerate(c.children())
+                for path in reference_operand_paths(sub)]
+    return [(i,) for i in range(len(c.children()))]
+
+
+def reference_crosses_protection(e, path):
+    if e.protected:
+        return True
+    for i in path:
+        e = e.children()[i]
+        if e.protected:
+            return True
+    return False
+
+
+def reference_statement_slots(st, protect_conditions):
+    if isinstance(st, Assign):
+        return [(0, st.rhs)]
+    if isinstance(st, Return):
+        return [(0, st.value)]
+    if isinstance(st, Verify) and not protect_conditions:
+        return [(slot, subterm_at(st.condition, path))
+                for slot, path in enumerate(reference_operand_paths(st.condition))
+                if not reference_crosses_protection(st.condition, path)]
+    return []
+
+
+def reference_walk_unprotected(e, path):
+    if e.protected:
+        return
+    yield path, e
+    for i, c in enumerate(e.children()):
+        yield from reference_walk_unprotected(c, path + (i,))
+
+
+def reference_enumerate_sites(program, cfg):
+    sites = []
+    check_index = 0
+    for idx, st in enumerate(program.statements):
+        if isinstance(st, Declare):
+            for name, prot in zip(st.names, st.protected_flags):
+                if not prot:
+                    sites.append(FaultSite("permanent", idx, variable=name))
+        elif isinstance(st, Assign):
+            if not st.rhs.protected:
+                sites.append(FaultSite("permanent", idx, variable=st.target))
+        elif isinstance(st, Verify):
+            if not (cfg.protect_conditions or st.condition.protected):
+                sites.append(FaultSite("check", idx, check=check_index))
+            check_index += 1
+        if cfg.transient_enabled:
+            for slot, expr in reference_statement_slots(st, cfg.protect_conditions):
+                for path, _node in reference_walk_unprotected(expr, (slot,)):
+                    sites.append(FaultSite("transient", idx, path=path))
+    return sites
+
+
+SITE_SETTINGS = [FaultConfig(protect_conditions=pc, transient_enabled=te)
+                 for pc in (False, True) for te in (True, False)]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+def test_sites_match_the_reference_on_the_corpus(corpus_programs, name):
+    prog = corpus_programs[name]
+    for cfg in SITE_SETTINGS:
+        assert enumerate_sites(prog, cfg) == reference_enumerate_sites(prog, cfg)
+
+
+@given(st.lists(conds(), min_size=1, max_size=3), exprs())
+@settings(max_examples=100, deadline=None)
+def test_sites_match_the_reference_under_protection_at_any_depth(conditions, value):
+    # braces anywhere in the verification conditions: on an operand, a
+    # comparison, a sub-condition, or the whole condition
+    prog = Program((Declare(("a", "b"), (False, True)),
+                    *(Verify(c, One()) for c in conditions),
+                    Assign("x", value), Return(value)),
+                   Neq(Var("_"), Var("@")))
+    for cfg in SITE_SETTINGS:
+        assert enumerate_sites(prog, cfg) == reference_enumerate_sites(prog, cfg)

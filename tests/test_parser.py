@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfault import (
     And, Assign, Declare, Eq, EqMod, LanguageError, Mod, Neq, NeqMod, One,
-    Opp, Or, Pow, Prod, Return, Sum, Var, Zero, parse, parse_cond, parse_expr,
-    pretty,
+    Opp, Or, Pow, Prod, Return, Sum, Var, Verify, Zero, parse, parse_cond,
+    parse_expr, pretty,
 )
+from modfault.parser import _Parser, tokenize
+from modfault.terms import RESERVED_NAMES, Program, free_vars
 
 
 def test_smallest_program():
@@ -214,3 +218,158 @@ def test_kind_mixes_are_located(source, message, line, col):
 def test_deep_nesting_is_a_language_error(parse_one, source):
     with pytest.raises(LanguageError, match="expression nested too deeply"):
         parse_one(source)
+
+
+@pytest.mark.parametrize("source, message, col", [
+    # two bad names in one statement: 'b' is read before '_'
+    ("noprop M ; S := b + _ ; return S ; _ != @",
+     "use of undeclared identifier 'b' in assignment to 'S'", 17),
+    ("noprop M ; S := M * S ; return S ; _ != @",
+     "use of undeclared identifier 'S' in assignment to 'S'", 21),
+], ids=["reading-order", "target-after-right-hand-side"])
+def test_names_are_checked_in_reading_order(source, message, col):
+    with pytest.raises(LanguageError) as err:
+        parse(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
+
+
+class _ReferenceParser(_Parser):
+    """The two-pass name check: each statement is parsed with its names
+    unchecked, then walked again with ``free_vars``, and a bad name is found
+    by re-scanning the statement's tokens.  Of several bad names in one
+    statement it reports the alphabetically first; with at most one per
+    statement it must agree with the parser's one-pass check."""
+
+    def read_name(self, tok):
+        pass
+
+    def declare(self, tok):
+        pass
+
+    def parse_program(self):
+        statements = []
+        saw_return = False
+        while not saw_return:
+            if self.peek().kind == "eof":
+                raise self.error("missing 'return' statement")
+            start = self.pos
+            st = self.parse_statement()
+            self.check_statement(st, start)
+            statements.append(st)
+            saw_return = isinstance(st, Return)
+        if self.peek().kind == "eof":
+            raise self.error("missing attack success condition after return")
+        start = self.pos
+        condition = self.parse_cond()
+        self.check_uses(free_vars(condition) - set(RESERVED_NAMES), "attack condition", start)
+        return Program(tuple(statements), condition)
+
+    def check_statement(self, st, start):
+        if isinstance(st, Declare):
+            for tok in self.tokens[start:self.pos]:
+                if tok.kind == "name":
+                    _Parser.declare(self, tok)
+        elif isinstance(st, Assign):
+            self.check_uses(free_vars(st.rhs), f"assignment to {st.target!r}", start + 1)
+            _Parser.declare(self, self.tokens[start])
+        elif isinstance(st, Verify):
+            self.check_uses(free_vars(st.condition), "verification", start)
+            self.check_uses(free_vars(st.abort_value), "abort value", start)
+        elif isinstance(st, Return):
+            self.check_uses(free_vars(st.value), "return", start)
+
+    def check_uses(self, used, where, start):
+        for name in sorted(used):
+            if name in RESERVED_NAMES:
+                message = f"reserved identifier {name!r} used outside the attack condition"
+            elif name not in self.declared:
+                message = f"use of undeclared identifier {name!r} in {where}"
+            else:
+                continue
+            tok = next(t for t in self.tokens[start:self.pos] if t.text == name)
+            raise LanguageError(message, tok.line, tok.col)
+
+
+def _outcome(parse_program):
+    try:
+        return parse_program()
+    except LanguageError as err:
+        return err.message, err.line, err.col
+
+
+POOL = ("a", "b", "c", "d", "S", "t'", "x_1")
+
+
+@st.composite
+def named_programs(draw):
+    """Program text in which each statement holds at most one bad name: an
+    undeclared name, a reserved one outside the attack condition, or a name
+    declared twice.  A bad name may occur more than once in its statement."""
+    declared = []
+    gap = st.sampled_from([" ", "\n", "\n  "])
+
+    def expr(bad=None, extra=()):
+        atoms = draw(st.lists(st.sampled_from(declared + ["0", "1", *extra]),
+                              min_size=1, max_size=4))
+        for _ in range(draw(st.integers(1, 2)) if bad else 0):
+            atoms.insert(draw(st.integers(0, len(atoms))), bad)
+        text = atoms[0]
+        for atom in atoms[1:]:
+            text += f" {draw(st.sampled_from(['+', '-', '*', '^', 'mod']))}{draw(gap)}{atom}"
+        return draw(st.sampled_from(["{}", "({})", "{{{}}}"])).format(text)
+
+    def rarely(names):
+        # a draw from ``names`` one time in four, or else None
+        return draw(st.sampled_from(names)) if names and draw(st.integers(0, 3)) == 0 else None
+
+    def bad_name(reserved=RESERVED_NAMES):
+        # no bad name, or one that may not be read here
+        return rarely([n for n in POOL if n not in declared] + list(reserved))
+
+    def fresh_or_bad():
+        # an undeclared name, or else the statement's one bad name
+        fresh = [n for n in POOL if n not in declared]
+        return draw(st.sampled_from(fresh)) if fresh and not rarely(declared) else \
+            draw(st.sampled_from(POOL))
+
+    def declare(names):
+        declared.extend(n for n in dict.fromkeys(names) if n not in declared)
+
+    names = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3,
+                          unique=rarely([True]) is None))
+    if len(set(names)) < len(names) - 1:
+        names = list(dict.fromkeys(names))  # at most one name declared twice
+    statements = [draw(st.sampled_from(["noprop ", "prime "])) + ", ".join(
+        draw(st.sampled_from(["{}", "{{{}}}"])).format(n) for n in names) + " ;"]
+    declare(names)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["noprop", "assign", "verify"]))
+        if kind == "noprop":
+            name = fresh_or_bad()
+            statements.append(f"noprop {name} ;")
+            declare([name])
+        elif kind == "assign":
+            # a target declared before is the statement's one bad name
+            target = fresh_or_bad()
+            bad = None if target in declared else bad_name()
+            statements.append(f"{target} :={draw(gap)}{expr(bad)} ;")
+            declare([target])
+        else:
+            # the bad name in the condition, the abort value or both
+            bad = bad_name()
+            where = draw(st.sampled_from(["condition", "value", "both"]))
+            cond = expr(bad if where != "value" else None)
+            value = expr(bad if where != "condition" else None)
+            cmp = draw(st.sampled_from(["=", "!=", "=[{}]", "!=[{}]"])).format(expr())
+            statements.append(f"if {cond} {cmp}{draw(gap)}{expr()} abort with {value} ;")
+    statements.append(f"return {expr(bad_name())} ;")
+    statements.append(f"_ != {expr(bad_name(reserved=()), extra=RESERVED_NAMES)}")
+    return draw(gap).join(statements)
+
+
+@given(named_programs())
+@settings(max_examples=400, deadline=None)
+def test_name_check_matches_the_two_pass_reference(source):
+    ours = _outcome(lambda: _Parser(tokenize(source)).parse_program())
+    reference = _outcome(lambda: _ReferenceParser(tokenize(source)).parse_program())
+    assert ours == reference
