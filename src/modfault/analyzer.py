@@ -3,12 +3,15 @@ symbolically and classified against the attack success condition."""
 
 from __future__ import annotations
 
+import bisect
+import gc
 import hashlib
+import itertools
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .executor import ClosedProgram, SymbolicRun, WalkState, run_symbolic, subst
 # Unused here, but kept bound: the benchmark's tracer patches this name.
@@ -124,10 +127,12 @@ class _PrefixTree:
     same terms, and the last fault's fresh name cannot occur in them.
 
     The trail and outcome of each vector shorter than ``depth``, the longest
-    a prefix can be, are kept for the life of the tree.  A prefix that has
-    not been analyzed yet (in a pool worker, its vector went to another
-    worker) is analyzed on demand.  Equal outcomes are one object: the tree
-    returns the first of each from a table it owns."""
+    a prefix can be, are kept for the life of the tree.  ``analyze`` runs
+    the 1-fault vectors before any pool worker forks, so a forked worker
+    finds every 1-fault prefix recorded.  A prefix not analyzed yet (one of
+    two or more faults whose vector went to another worker, or any prefix in
+    a worker started cold) is analyzed on demand.  Equal outcomes are one
+    object: the tree returns the first of each from a table it owns."""
 
     def __init__(self, closed: ClosedProgram, rewriter: Rewriter, depth: int):
         self.closed = closed
@@ -170,16 +175,66 @@ class _PrefixTree:
 
 # -- multiprocessing workers --------------------------------------------------
 
+# Blocks of vectors handed to the pool per worker: enough that a worker which
+# finishes early takes another block, few enough that each block keeps the
+# memo of its first faults' runs warm.
+BLOCKS_PER_WORKER = 4
+
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(program: Program, depth: int):
-    _WORKER_STATE["tree"] = _PrefixTree(
-        ClosedProgram(program), Rewriter(primes=program.prime_names()), depth)
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _worker(vector: FaultVector) -> Outcome:
-    return _WORKER_STATE["tree"].outcome(vector)
+def _analysis(program: Program, cfg: FaultConfig) -> Tuple[_PrefixTree, List[FaultVector]]:
+    """A prefix tree rooted at the program's nominal run, and every fault
+    vector of the model in enumeration order."""
+    sites = enumerate_sites(program, cfg)
+    tree = _PrefixTree(ClosedProgram(program), Rewriter(primes=program.prime_names()),
+                       min(cfg.max_faults, len(sites)))
+    return tree, list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
+
+
+def _blocks(vectors: Sequence[FaultVector], start: int,
+            count: int) -> List[Tuple[int, int]]:
+    """``vectors[start:]`` as at most ``count`` contiguous ``(start, stop)``
+    index ranges of about equal size.  A range ends only where the first
+    fault's site changes, so every vector that starts at one site falls in
+    one block."""
+    blocks: List[Tuple[int, int]] = []
+    size = -(-(len(vectors) - start) // count)
+    while start < len(vectors):
+        stop = min(start + size, len(vectors))
+        while stop < len(vectors) and vectors[stop][0].site == vectors[stop - 1][0].site:
+            stop += 1
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+def _init_worker(program: Program, cfg: FaultConfig):
+    """Set up a pool worker.  A forked worker inherits the parent's tree,
+    which holds every 1-fault run and the memo they warmed, and its vector
+    list; a worker started cold (the ``spawn`` and ``forkserver`` start
+    methods) builds both itself and analyzes prefixes on demand, to the same
+    outcomes."""
+    if "tree" not in _WORKER_STATE:
+        _WORKER_STATE["tree"], _WORKER_STATE["vectors"] = _analysis(program, cfg)
+
+
+def _worker(block: Tuple[int, int]) -> Tuple[List[Outcome], List[int]]:
+    """The outcomes of one block of vectors: its distinct outcomes, and for
+    each vector the index of its outcome among them."""
+    tree, vectors = _WORKER_STATE["tree"], _WORKER_STATE["vectors"]
+    outcomes = [tree.outcome(v) for v in vectors[slice(*block)]]
+    distinct = {id(o): o for o in outcomes}  # the tree keeps one object per outcome
+    index = {key: i for i, key in enumerate(distinct)}
+    return list(distinct.values()), [index[id(o)] for o in outcomes]
 
 
 def nominal_run(closed: ClosedProgram, rewriter: Rewriter,
@@ -196,21 +251,34 @@ def nominal_run(closed: ClosedProgram, rewriter: Rewriter,
 
 def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
             source: bytes = b"", jobs: int = 1) -> Report:
-    """Simulate every fault vector of the model and classify each outcome, in
-    at most ``jobs`` processes and no more than there are cores or vectors."""
+    """Simulate every fault vector of the model and classify each outcome.
+
+    The 1-fault vectors run in this process.  The longer ones go, in blocks,
+    to at most ``jobs`` processes, no more than this process has CPUs or
+    there are blocks; with one process no pool starts."""
     start = time.monotonic()
-    sites = enumerate_sites(program, cfg)
-    depth = min(cfg.max_faults, len(sites))
-    tree = _PrefixTree(ClosedProgram(program), Rewriter(primes=program.prime_names()),
-                       depth)
-    vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
-    workers = min(jobs, os.cpu_count() or 1, len(vectors))
+    tree, vectors = _analysis(program, cfg)
+    singles = bisect.bisect(vectors, 1, key=len)
+    outcomes = [tree.outcome(v) for v in itertools.islice(vectors, singles)]
+    workers = min(jobs, usable_cpus())
+    blocks = _blocks(vectors, singles, BLOCKS_PER_WORKER * workers)
+    workers = min(workers, len(blocks))
     if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=(program, depth)) as pool:
-            outcomes = [tree.shared(o) for o in pool.map(_worker, vectors, chunksize=64)]
+        _WORKER_STATE.update(tree=tree, vectors=vectors)
+        # forked workers share the parent's objects; frozen, the collector
+        # leaves them untouched, so their pages are not copied (gc docs)
+        gc.freeze()
+        try:
+            with multiprocessing.Pool(workers, initializer=_init_worker,
+                                      initargs=(program, cfg)) as pool:
+                for distinct, ids in pool.map(_worker, blocks, chunksize=1):
+                    distinct = [tree.shared(o) for o in distinct]
+                    outcomes += [distinct[i] for i in ids]
+        finally:
+            _WORKER_STATE.clear()
+            gc.unfreeze()
     else:
-        outcomes = [tree.outcome(v) for v in vectors]
+        outcomes.extend(map(tree.outcome, itertools.islice(vectors, singles, None)))
     results = tuple(zip(vectors, outcomes))
     duration_ms = (time.monotonic() - start) * 1000.0
     return Report(

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analyzer import AnalysisError, analyze
+from .analyzer import AnalysisError, analyze, usable_cpus
 from .faults import EnumerationCapExceeded, FaultConfig, enumerate_sites
 from .oracle import OracleError, check_soundness, instantiate, prop1_check
 from .parser import parse
@@ -166,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated output formats: text, json, html")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="directory for json/html report files")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, metavar="K",
-                   help="parallel workers, capped by cores and vectors (default: core count)")
+    p.add_argument("--jobs", type=int, default=usable_cpus(), metavar="K",
+                   help="parallel workers, capped by usable CPUs and vectors "
+                        "(default: the CPUs this process may use)")
     p.add_argument("--max-vectors", type=int, default=5_000_000, metavar="CAP",
                    help="hard cap on enumerated fault vectors")
     p.set_defaults(func=cmd_analyze)

@@ -1,7 +1,10 @@
+import multiprocessing
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modfault import analyzer
 from modfault import (
@@ -10,11 +13,12 @@ from modfault import (
     nominal_run, parse,
 )
 from modfault.analyzer import _PrefixTree, removed_check_variants
+from modfault.cli import build_parser
 from modfault.executor import SymbolicRun
 from modfault.faults import Fault, FaultSite, RANDOMIZING, ZEROING
 from modfault.reporting import report_dict
 
-from conftest import CRITERION_7
+from conftest import CRITERION_7, THREE_FAULTS_PERMANENT
 
 
 def _attack_sites(report):
@@ -138,13 +142,36 @@ def test_reports_are_reproducible(corpus_programs):
     assert a == b
 
 
-def test_parallel_matches_sequential(corpus_programs):
+def _sequential_and_parallel(prog, monkeypatch, context):
+    """Each of two multi-fault models analyzed at one job and in a real pool
+    of two processes from ``context``, started whatever this machine's CPU
+    count; reports without ``duration_ms``."""
+    monkeypatch.setattr(analyzer, "multiprocessing", context)
+    monkeypatch.setattr(analyzer, "usable_cpus", lambda: 2)
+    pairs = []
+    for cfg in (CRITERION_7, THREE_FAULTS_PERMANENT):
+        seq = report_dict(analyze(prog, cfg, jobs=1))
+        par = report_dict(analyze(prog, cfg, jobs=2))
+        seq.pop("duration_ms"), par.pop("duration_ms")
+        pairs.append((seq, par))
+    return pairs
+
+
+def test_parallel_matches_sequential(corpus_programs, monkeypatch):
+    # forked workers inherit the parent's 1-fault runs and memo
     prog = corpus_programs["vigilant-fixed"]
-    cfg = FaultConfig(max_faults=1, kinds=(ZEROING,))
-    seq = report_dict(analyze(prog, cfg, jobs=1))
-    par = report_dict(analyze(prog, cfg, jobs=3))
-    seq.pop("duration_ms"), par.pop("duration_ms")
-    assert seq == par
+    for seq, par in _sequential_and_parallel(prog, monkeypatch,
+                                             multiprocessing.get_context()):
+        assert seq == par
+
+
+def test_parallel_matches_sequential_under_spawn(corpus_programs, monkeypatch):
+    # spawned workers start cold: they rebuild the tree and the vector list
+    # and analyze each prefix on demand, to the same reports
+    prog = corpus_programs["vigilant-fixed"]
+    for seq, par in _sequential_and_parallel(prog, monkeypatch,
+                                             multiprocessing.get_context("spawn")):
+        assert seq == par
 
 
 def _in_process_pool(monkeypatch, cores):
@@ -171,22 +198,57 @@ def _in_process_pool(monkeypatch, cores):
     monkeypatch.setattr(analyzer.multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(analyzer, "_WORKER_STATE", {})
     monkeypatch.setattr(analyzer.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(analyzer.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
     return sizes
 
 
+def _same_reports(prog, cfg, *job_counts):
+    reports = [report_dict(analyze(prog, cfg, jobs=jobs)) for jobs in job_counts]
+    for report in reports:
+        report.pop("duration_ms")
+    return all(report == reports[0] for report in reports)
+
+
 def test_workers_are_capped_by_cores_and_vectors(corpus_programs, monkeypatch):
-    sizes = _in_process_pool(monkeypatch, 3)
+    sizes = _in_process_pool(monkeypatch, 4)
     prog = corpus_programs["unprotected"]
-    cfg = FaultConfig(max_faults=1, kinds=(ZEROING,))
-    seq = report_dict(analyze(prog, cfg, jobs=1))
+    # a 1-fault model runs in this process, at any job count
+    assert _same_reports(prog, FaultConfig(max_faults=1, kinds=(ZEROING,)), 1, 10 ** 9)
     assert sizes == []
-    par = report_dict(analyze(prog, cfg, jobs=10 ** 9))
-    assert sizes == [3]  # one worker per core
-    seq.pop("duration_ms"), par.pop("duration_ms")
-    assert seq == par
-    two = parse("noprop x ; return x ; _ != @")  # two zeroing vectors
-    assert analyze(two, FaultConfig(kinds=(ZEROING,)), jobs=10 ** 9).summary["total"] == 2
-    assert sizes == [3, 2]  # one worker per vector
+    # the 2-fault vectors go to at most min(jobs, CPUs, blocks) workers
+    assert _same_reports(prog, FaultConfig(max_faults=2, kinds=(ZEROING,)), 1, 3, 10 ** 9)
+    assert sizes == [3, 4]  # as many workers as jobs, then one per CPU
+    three_blocks = parse("noprop x ; y := x ; return y ; _ != @")  # 4 sites
+    cfg = FaultConfig(max_faults=2, kinds=(ZEROING,))
+    assert analyze(three_blocks, cfg, jobs=10 ** 9).summary["total"] == 4 + 6
+    assert sizes == [3, 4, 3]  # the 2-fault vectors start at 3 sites
+
+
+def test_one_usable_cpu_starts_no_pool(corpus_programs, monkeypatch):
+    # pinned to one CPU of a 2-core machine (`taskset -c 0`): os.cpu_count()
+    # says 2, the affinity mask 1
+    sizes = _in_process_pool(monkeypatch, 2)
+    monkeypatch.setattr(analyzer.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert analyzer.usable_cpus() == 1
+    assert build_parser().parse_args(["analyze", "x.fj"]).jobs == 1
+    prog = corpus_programs["unprotected"]
+    analyze(prog, FaultConfig(max_faults=2, kinds=(ZEROING,)), jobs=2)
+    assert sizes == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=40), st.data(), st.integers(1, 12))
+def test_blocks_cover_the_range_once_and_start_at_a_new_first_site(first_sites, data,
+                                                                   count):
+    vectors = [(SimpleNamespace(site=s),) for s in first_sites]
+    start = data.draw(st.integers(0, len(vectors)))
+    blocks = analyzer._blocks(vectors, start, count)
+    assert len(blocks) <= count
+    assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(start, len(vectors)))
+    assert all(lo < hi for lo, hi in blocks)
+    for lo, _ in blocks[1:]:
+        assert vectors[lo][0].site != vectors[lo - 1][0].site
 
 
 def _distinct_objects(report):
@@ -234,8 +296,9 @@ def test_verdicts_do_not_depend_on_vector_order(corpus_programs):
 
 
 def test_prefixes_are_analyzed_on_demand(corpus_programs):
-    # a pool worker may receive a 2-fault vector before, or instead of, its
-    # 1-fault prefix: the tree analyzes the prefix when first needed
+    # a pool worker started cold receives 2-fault vectors whose 1-fault
+    # prefixes it has not analyzed: the tree analyzes each prefix when first
+    # needed
     prog = corpus_programs["vigilant-fixed"]
     cfg = FaultConfig(max_faults=2, kinds=(RANDOMIZING,), protect_conditions=True)
     report = analyze(prog, cfg, jobs=2)
