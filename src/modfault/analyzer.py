@@ -4,6 +4,7 @@ symbolically and classified against the attack success condition."""
 from __future__ import annotations
 
 import bisect
+import functools
 import gc
 import hashlib
 import itertools
@@ -191,11 +192,21 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=1)
+def _rewriter(primes: frozenset) -> Rewriter:
+    """The process's rewriter for one set of prime names.  Successive
+    analyses of programs that declare the same primes (the versions of one
+    countermeasure) reuse its normal forms and check verdicts; the budget
+    rule keeps their verdicts those of a cold memo."""
+    return Rewriter(primes=primes)
+
+
 def _analysis(program: Program, cfg: FaultConfig) -> Tuple[_PrefixTree, List[FaultVector]]:
-    """A prefix tree rooted at the program's nominal run, and every fault
-    vector of the model in enumeration order."""
+    """A prefix tree rooted at the program's nominal run, over the shared
+    rewriter for its primes, and every fault vector of the model in
+    enumeration order."""
     sites = enumerate_sites(program, cfg)
-    tree = _PrefixTree(ClosedProgram(program), Rewriter(primes=program.prime_names()),
+    tree = _PrefixTree(ClosedProgram(program), _rewriter(program.prime_names()),
                        min(cfg.max_faults, len(sites)))
     return tree, list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
 
@@ -255,7 +266,12 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
 
     The 1-fault vectors run in this process.  The longer ones go, in blocks,
     to at most ``jobs`` processes, no more than this process has CPUs or
-    there are blocks; with one process no pool starts."""
+    there are blocks; with one process no pool starts.
+
+    The rewriter is the process's one for the program's primes, so the
+    analysis reuses the normal forms and check verdicts of earlier analyses
+    with the same primes, and the memo stays alive after it returns.  The
+    report is the one a fresh process would give."""
     start = time.monotonic()
     tree, vectors = _analysis(program, cfg)
     singles = bisect.bisect(vectors, 1, key=len)

@@ -240,7 +240,11 @@ class SoundnessReport:
 
 
 def check_soundness(program: Program, trials: int, seed: int = 0) -> SoundnessReport:
-    """Sequential run == inlined run == normalized inlined run, numerically."""
+    """Sequential run == inlined run == normalized inlined run, numerically.
+
+    The rewriter is a fresh one, not the one analyses share: the oracle is
+    the independent cross-check of the normal forms, so it must not read
+    them from a memo that an analysis filled."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     unrolled = inline(program)

@@ -67,6 +67,13 @@ class Rewriter:
     form charges the steps its computation took, so whether a call exceeds
     the budget does not depend on what earlier calls left in the memo, and
     verdicts do not depend on the order in which vectors are analyzed.
+
+    The memo outlives an analysis: ``analyzer`` keeps one instance per set
+    of primes for the life of the process, and each analysis of a program
+    with those primes starts from the normal forms and check verdicts of
+    the ones before it.  The budget rule above makes that safe, as it does
+    across vectors: a verdict is the one a cold memo would give.  The memo's
+    keys hold the interned nodes they name, so no key outlives its node.
     """
 
     def __init__(self, primes: Iterable[str] = (), max_steps: int = 100_000):

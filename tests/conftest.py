@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from modfault import FaultConfig, Rewriter, ZEROING, analyze, parse
+from modfault import FaultConfig, Rewriter, ZEROING, analyze, analyzer, parse
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -48,6 +48,15 @@ def criterion_7_report():
     path = str(CORPUS_FILES["vigilant-fixed"].relative_to(ROOT))
     return analyze(program, CRITERION_7, path=path, source=source,
                    jobs=os.cpu_count() or 1)
+
+
+@pytest.fixture
+def cold_rewriter():
+    """An empty slot for the rewriter that analyses share, so that the test's
+    first analysis starts from a cold memo; emptied again afterwards."""
+    analyzer._rewriter.cache_clear()
+    yield
+    analyzer._rewriter.cache_clear()
 
 
 @pytest.fixture(scope="session")

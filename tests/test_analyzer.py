@@ -1,6 +1,9 @@
+import json
 import multiprocessing
 import pickle
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -13,12 +16,12 @@ from modfault import (
     nominal_run, parse,
 )
 from modfault.analyzer import _PrefixTree, removed_check_variants
-from modfault.cli import build_parser
+from modfault.cli import build_parser, main
 from modfault.executor import SymbolicRun
 from modfault.faults import Fault, FaultSite, RANDOMIZING, ZEROING
 from modfault.reporting import report_dict
 
-from conftest import CRITERION_7, THREE_FAULTS_PERMANENT
+from conftest import CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT
 
 
 def _attack_sites(report):
@@ -314,3 +317,93 @@ def test_removed_check_variants(corpus_programs):
     assert len(variants) == 7
     for k, variant in variants:
         assert len(variant.verifications()) == 6
+
+
+# -- one rewriter per set of primes ----------------------------------------------
+
+# corpus-1f's model, as the benchmark's sessions pass it to the CLI
+ONE_FAULT_JSON = ["--faults", "1", "--kinds", "zeroing,randomizing", "--format", "json",
+                  "--jobs", "1"]
+
+
+def _corpus_cli_reports(names, outdir):
+    """The JSON report of each corpus file at 1 fault, both kinds, from
+    ``cli.main`` in this process, one file after another as the benchmark's
+    sessions run them; without ``duration_ms``."""
+    reports = {}
+    for name in names:
+        path = str(CORPUS_FILES[name].relative_to(ROOT))
+        assert main(["analyze", path, *ONE_FAULT_JSON, "--out", str(outdir)]) in (0, 2)
+        reports[name] = json.loads((outdir / f"{name}.report.json").read_text())
+        reports[name].pop("duration_ms")
+    return reports
+
+
+def test_reports_do_not_depend_on_earlier_analyses(cold_rewriter, tmp_path, monkeypatch):
+    # each file in its own interpreter, then all four in one process, in
+    # corpus order and reversed: the later analyses find the earlier ones'
+    # normal forms and check verdicts in the shared memo
+    monkeypatch.chdir(ROOT)
+    names = list(CORPUS_FILES)
+    cold = {}
+    for name in names:
+        out = tmp_path / f"cold-{name}"
+        path = str(CORPUS_FILES[name].relative_to(ROOT))
+        proc = subprocess.run([sys.executable, "-m", "modfault.cli", "analyze", path,
+                               *ONE_FAULT_JSON, "--out", str(out)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 2), proc.stderr
+        cold[name] = json.loads((out / f"{name}.report.json").read_text())
+        cold[name].pop("duration_ms")
+    assert _corpus_cli_reports(names, tmp_path / "forward") == cold
+    analyzer._rewriter.cache_clear()
+    assert _corpus_cli_reports(names[::-1], tmp_path / "reversed") == cold
+
+
+def test_budget_failures_do_not_depend_on_earlier_analyses(cold_rewriter, corpus_programs):
+    # a memo hit charges the steps its computation took, so a memo warmed by
+    # other programs under the same budget fails the same vectors as a cold one
+    cfg = FaultConfig(max_faults=1, kinds=(ZEROING, RANDOMIZING))
+    target = corpus_programs["vigilant-fixed"]
+    primes = target.prime_names()
+    analyzer._rewriter(primes).max_steps = 2000
+    cold = analyze(target, cfg)
+    assert sum(o.kind == FAILURE for _, o in cold.results) == 56
+    analyzer._rewriter.cache_clear()
+    analyzer._rewriter(primes).max_steps = 2000
+    for name in ("unprotected", "vigilant-original", "vigilant-coron"):
+        assert corpus_programs[name].prime_names() == primes
+        analyze(corpus_programs[name], cfg)
+    assert analyze(target, cfg).results == cold.results
+
+
+def test_forked_pool_with_a_warm_memo_matches_a_cold_run(cold_rewriter, corpus_programs,
+                                                         monkeypatch):
+    # forked workers inherit the shared rewriter with the memo the corpus
+    # warmed, and still give the report of one cold process
+    prog = corpus_programs["vigilant-fixed"]
+    cold = report_dict(analyze(prog, THREE_FAULTS_PERMANENT, jobs=1))
+    analyzer._rewriter.cache_clear()
+    for program in corpus_programs.values():
+        analyze(program, FaultConfig(max_faults=1, kinds=(ZEROING, RANDOMIZING)))
+    monkeypatch.setattr(analyzer, "multiprocessing", multiprocessing.get_context("fork"))
+    monkeypatch.setattr(analyzer, "usable_cpus", lambda: 2)
+    warm = report_dict(analyze(prog, THREE_FAULTS_PERMANENT, jobs=2))
+    cold.pop("duration_ms"), warm.pop("duration_ms")
+    assert warm == cold
+
+
+def test_a_prime_name_does_not_leak_into_a_noprop_program(cold_rewriter):
+    # the same statements, with p prime and without: only the first may
+    # reduce a^(p-1) mod p by Fermat's little theorem
+    body = "noprop a ; y := a^(p - 1) mod p ; return y ; _ != @"
+    prime, noprop = parse("prime p ; " + body), parse("noprop p ; " + body)
+    cfg = FaultConfig(max_faults=1)
+    cold = report_dict(analyze(noprop, cfg))
+    analyzer._rewriter.cache_clear()
+    with_primes = report_dict(analyze(prime, cfg))
+    warm = report_dict(analyze(noprop, cfg))
+    for report in (cold, with_primes, warm):
+        report.pop("duration_ms")
+    assert with_primes["nominal"] == "1"
+    assert warm == cold != with_primes

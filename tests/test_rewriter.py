@@ -427,7 +427,10 @@ def test_sum_cancellation_matches_the_opp_lookup(draws, modulus, rnd):
     assert rw._assemble_sum(list(parts), ctx) is reference_assemble_sum(parts, ctx)
 
 
-def test_cached_factor_multisets_are_never_mutated(monkeypatch, corpus_programs):
+def test_cached_factor_multisets_are_never_mutated(monkeypatch, corpus_programs,
+                                                  cold_rewriter):
+    # the four analyses share one rewriter, built after the slot was emptied,
+    # so it is the recording one
     rewriters = []
 
     class Recording(Rewriter):
@@ -441,7 +444,7 @@ def test_cached_factor_multisets_are_never_mutated(monkeypatch, corpus_programs)
         analyze(program, cfg, jobs=1)
     cached = [node for node in (ref() for ref in list(_INTERNED.values()))
               if node is not None and node._factors is not None]
-    assert len(rewriters) == len(corpus_programs)
+    assert len(rewriters) == 1
     assert cached
     for node in cached:
         assert node._factors == Counter(node.operands)
