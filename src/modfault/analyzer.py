@@ -129,11 +129,11 @@ class _PrefixTree:
 
     The trail and outcome of each vector shorter than ``depth``, the longest
     a prefix can be, are kept for the life of the tree.  ``analyze`` runs
-    the 1-fault vectors before any pool worker forks, so a forked worker
-    finds every 1-fault prefix recorded.  A prefix not analyzed yet (one of
-    two or more faults whose vector went to another worker, or any prefix in
-    a worker started cold) is analyzed on demand.  Equal outcomes are one
-    object: the tree returns the first of each from a table it owns."""
+    the 1-fault vectors before any pool worker forks, so a worker finds
+    every 1-fault prefix recorded.  A prefix not analyzed yet (one of two or
+    more faults whose vector went to another worker) is analyzed on demand.
+    Equal outcomes are one object: the tree returns the first of each from a
+    table it owns."""
 
     def __init__(self, closed: ClosedProgram, rewriter: Rewriter, depth: int):
         self.closed = closed
@@ -174,13 +174,15 @@ class _PrefixTree:
         return self.shared(outcome)
 
 
-# -- multiprocessing workers --------------------------------------------------
+# -- the process pool ---------------------------------------------------------
 
 # Blocks of vectors handed to the pool per worker: enough that a worker which
 # finishes early takes another block, few enough that each block keeps the
 # memo of its first faults' runs warm.
 BLOCKS_PER_WORKER = 4
 
+# The prefix tree and vector list of the analysis the pool serves, set before
+# its workers fork, so that each inherits them.
 _WORKER_STATE: dict = {}
 
 
@@ -201,16 +203,6 @@ def _rewriter(primes: frozenset) -> Rewriter:
     return Rewriter(primes=primes)
 
 
-def _analysis(program: Program, cfg: FaultConfig) -> Tuple[_PrefixTree, List[FaultVector]]:
-    """A prefix tree rooted at the program's nominal run, over the shared
-    rewriter for its primes, and every fault vector of the model in
-    enumeration order."""
-    sites = enumerate_sites(program, cfg)
-    tree = _PrefixTree(ClosedProgram(program), _rewriter(program.prime_names()),
-                       min(cfg.max_faults, len(sites)))
-    return tree, list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
-
-
 def _blocks(vectors: Sequence[FaultVector], start: int,
             count: int) -> List[Tuple[int, int]]:
     """``vectors[start:]`` as at most ``count`` contiguous ``(start, stop)``
@@ -228,19 +220,10 @@ def _blocks(vectors: Sequence[FaultVector], start: int,
     return blocks
 
 
-def _init_worker(program: Program, cfg: FaultConfig):
-    """Set up a pool worker.  A forked worker inherits the parent's tree,
-    which holds every 1-fault run and the memo they warmed, and its vector
-    list; a worker started cold (the ``spawn`` and ``forkserver`` start
-    methods) builds both itself and analyzes prefixes on demand, to the same
-    outcomes."""
-    if "tree" not in _WORKER_STATE:
-        _WORKER_STATE["tree"], _WORKER_STATE["vectors"] = _analysis(program, cfg)
-
-
 def _worker(block: Tuple[int, int]) -> Tuple[List[Outcome], List[int]]:
-    """The outcomes of one block of vectors: its distinct outcomes, and for
-    each vector the index of its outcome among them."""
+    """The outcomes of one block of vectors, in a worker forked by
+    ``analyze``: its distinct outcomes, and for each vector the index of its
+    outcome among them."""
     tree, vectors = _WORKER_STATE["tree"], _WORKER_STATE["vectors"]
     outcomes = [tree.outcome(v) for v in vectors[slice(*block)]]
     distinct = {id(o): o for o in outcomes}  # the tree keeps one object per outcome
@@ -266,31 +249,46 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
 
     The 1-fault vectors run in this process.  The longer ones go, in blocks,
     to at most ``jobs`` processes, no more than this process has CPUs or
-    there are blocks; with one process no pool starts.
+    there are blocks.  The workers fork, to inherit the 1-fault runs and the
+    memo they warmed; with one process, or where the platform cannot fork,
+    no pool starts.  A worker that dies raises ``AnalysisError``; any error
+    from the pool cancels the blocks no worker has taken.
 
     The rewriter is the process's one for the program's primes, so the
     analysis reuses the normal forms and check verdicts of earlier analyses
     with the same primes, and the memo stays alive after it returns.  The
     report is the one a fresh process would give."""
     start = time.monotonic()
-    tree, vectors = _analysis(program, cfg)
+    sites = enumerate_sites(program, cfg)
+    tree = _PrefixTree(ClosedProgram(program), _rewriter(program.prime_names()),
+                       min(cfg.max_faults, len(sites)))
+    vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
     singles = bisect.bisect(vectors, 1, key=len)
     outcomes = [tree.outcome(v) for v in itertools.islice(vectors, singles)]
-    workers = min(jobs, usable_cpus())
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    workers = min(jobs, usable_cpus()) if forks else 1
     blocks = _blocks(vectors, singles, BLOCKS_PER_WORKER * workers)
     workers = min(workers, len(blocks))
     if workers > 1:
+        # imported only here: it adds about 20 ms to the start-up of every
+        # run, and only a pool uses it
+        from concurrent.futures import process
+        # the executor forks every worker at the first block, before it starts
+        # the thread that manages them, so no fork happens in a process that
+        # has threads
+        pool = process.ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
         _WORKER_STATE.update(tree=tree, vectors=vectors)
         # forked workers share the parent's objects; frozen, the collector
         # leaves them untouched, so their pages are not copied (gc docs)
         gc.freeze()
         try:
-            with multiprocessing.Pool(workers, initializer=_init_worker,
-                                      initargs=(program, cfg)) as pool:
-                for distinct, ids in pool.map(_worker, blocks, chunksize=1):
-                    distinct = [tree.shared(o) for o in distinct]
-                    outcomes += [distinct[i] for i in ids]
+            for distinct, ids in pool.map(_worker, blocks):
+                distinct = [tree.shared(o) for o in distinct]
+                outcomes += [distinct[i] for i in ids]
+        except process.BrokenProcessPool:
+            raise AnalysisError("a pool worker died before returning its block") from None
         finally:
+            pool.shutdown(cancel_futures=True)
             _WORKER_STATE.clear()
             gc.unfreeze()
     else:

@@ -1,8 +1,8 @@
 """Command-line driver.
 
-Exit codes: 0 clean (no attacks, no failures), 1 usage or input error, or
-stdout closed by its reader (as by ``| head``), 2 at least one attack found,
-3 analysis failures (budget exhaustion).
+Exit codes: 0 clean (no attacks, no failures), 1 usage or input error, a
+pool worker that died, or stdout closed by its reader (as by ``| head``), 2
+at least one attack found, 3 analysis failures (budget exhaustion).
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 import json
 import multiprocessing
+import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
+from concurrent.futures import process
 from types import SimpleNamespace
 
 import pytest
@@ -145,11 +148,10 @@ def test_reports_are_reproducible(corpus_programs):
     assert a == b
 
 
-def _sequential_and_parallel(prog, monkeypatch, context):
+def _sequential_and_parallel(prog, monkeypatch):
     """Each of two multi-fault models analyzed at one job and in a real pool
-    of two processes from ``context``, started whatever this machine's CPU
-    count; reports without ``duration_ms``."""
-    monkeypatch.setattr(analyzer, "multiprocessing", context)
+    of two processes, started whatever this machine's CPU count; reports
+    without ``duration_ms``."""
     monkeypatch.setattr(analyzer, "usable_cpus", lambda: 2)
     pairs = []
     for cfg in (CRITERION_7, THREE_FAULTS_PERMANENT):
@@ -163,17 +165,7 @@ def _sequential_and_parallel(prog, monkeypatch, context):
 def test_parallel_matches_sequential(corpus_programs, monkeypatch):
     # forked workers inherit the parent's 1-fault runs and memo
     prog = corpus_programs["vigilant-fixed"]
-    for seq, par in _sequential_and_parallel(prog, monkeypatch,
-                                             multiprocessing.get_context()):
-        assert seq == par
-
-
-def test_parallel_matches_sequential_under_spawn(corpus_programs, monkeypatch):
-    # spawned workers start cold: they rebuild the tree and the vector list
-    # and analyze each prefix on demand, to the same reports
-    prog = corpus_programs["vigilant-fixed"]
-    for seq, par in _sequential_and_parallel(prog, monkeypatch,
-                                             multiprocessing.get_context("spawn")):
+    for seq, par in _sequential_and_parallel(prog, monkeypatch):
         assert seq == par
 
 
@@ -185,21 +177,16 @@ def _in_process_pool(monkeypatch, cores):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items):
             return [pickle.loads(pickle.dumps(fn(item))) for item in items]
 
-    monkeypatch.setattr(analyzer.multiprocessing, "Pool", InProcessPool)
-    monkeypatch.setattr(analyzer, "_WORKER_STATE", {})
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(analyzer.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(analyzer.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
@@ -238,6 +225,112 @@ def test_one_usable_cpu_starts_no_pool(corpus_programs, monkeypatch):
     prog = corpus_programs["unprotected"]
     analyze(prog, FaultConfig(max_faults=2, kinds=(ZEROING,)), jobs=2)
     assert sizes == []
+
+
+def test_a_platform_without_fork_starts_no_pool(corpus_programs, monkeypatch):
+    # the workers must fork to inherit the tree; where the platform cannot
+    # fork, every vector runs in this process, to the same report
+    sizes = _in_process_pool(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _same_reports(corpus_programs["unprotected"],
+                         FaultConfig(max_faults=2, kinds=(ZEROING,)), 1, 2)
+    assert sizes == []
+
+
+# -- a real pool in its own interpreter ----------------------------------------
+
+UNPROTECTED_2F = ["analyze", str(CORPUS_FILES["unprotected"]), "--faults", "2",
+                  "--kinds", "zeroing", "--jobs", "2"]
+
+
+def _run_script(script, *args):
+    """Exit code, stdout and stderr of ``script`` read by ``python -`` with
+    ``args``.  The interpreter leads its own process group: if it has not
+    exited after 60 s, the group, pool workers included, is killed and the
+    test fails, rather than the suite hanging."""
+    proc = subprocess.Popen([sys.executable, "-", *args], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(script, timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"no exit after 60 s: {script}")
+    return proc.returncode, out, err
+
+
+# The last block of a 2-fault analysis at two jobs fails in its worker: the
+# worker's module global ``_worker`` is replaced before the pool forks.
+FAILING_BLOCK = """
+import os, sys
+from modfault import FaultConfig, analyzer, cli, parse
+
+def fails_on_the_last_block(block):
+    if block[1] == len(analyzer._WORKER_STATE["vectors"]):
+        {failure}
+    return worker(block)
+
+worker, analyzer._worker = analyzer._worker, fails_on_the_last_block
+analyzer.usable_cpus = lambda: 2
+path = sys.argv[2]
+try:
+    analyzer.analyze(parse(open(path).read()), FaultConfig(max_faults=2, kinds=("zeroing",)),
+                     jobs=2)
+except Exception as err:
+    print(type(err).__name__)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    ("os._exit(1)", "AnalysisError", "a pool worker died before returning its block"),
+    ("raise RecursionError", "RecursionError", "terms nest too deeply to analyze"),
+], ids=["worker-dies", "worker-raises"])
+def test_a_failing_worker_fails_the_analysis(failure, error, message):
+    # a worker that dies (as by an out-of-memory kill) or raises fails the
+    # analysis with one error line and exit 1, instead of hanging it
+    code, out, err = _run_script(FAILING_BLOCK.replace("{failure}", failure),
+                                 *UNPROTECTED_2F)
+    assert out == f"{error}\n"
+    assert (code, err) == (1, f"error: {UNPROTECTED_2F[1]}: {message}\n")
+
+
+def test_a_script_read_from_stdin_under_spawn_gets_the_one_job_report():
+    # a worker spawned from ``python -`` cannot import its ``__main__``; the
+    # pool forks whatever the default start method
+    code, out, err = _run_script("""
+import multiprocessing, sys
+from modfault import FaultConfig, analyze, analyzer, parse, report_dict
+multiprocessing.set_start_method("spawn")
+analyzer.usable_cpus = lambda: 2
+program = parse(open(sys.argv[1]).read())
+cfg = FaultConfig(max_faults=2, kinds=("zeroing",))
+reports = [report_dict(analyze(program, cfg, jobs=jobs)) for jobs in (2, 1)]
+for report in reports:
+    report.pop("duration_ms")
+print(reports[0] == reports[1])
+""", UNPROTECTED_2F[1])
+    assert (code, out, err) == (0, "True\n", "")
+
+
+def test_the_pool_never_forks_a_process_that_has_threads():
+    # from Python 3.12, os.fork warns when the process has threads: the
+    # executor must fork its workers before it starts its manager thread, and
+    # join that thread before the next analysis forks again
+    code, out, err = _run_script("""
+import sys, warnings
+from modfault import FaultConfig, analyze, analyzer, parse
+analyzer.usable_cpus = lambda: 2
+program = parse(open(sys.argv[1]).read())
+criterion_7 = FaultConfig(max_faults=2, kinds=("zeroing",), protect_conditions=True)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for _ in range(2):
+        analyze(program, criterion_7, jobs=2)
+print([str(warning.message) for warning in caught])
+""", str(CORPUS_FILES["vigilant-fixed"]))
+    assert (code, out, err) == (0, "[]\n", "")
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,9 +392,10 @@ def test_verdicts_do_not_depend_on_vector_order(corpus_programs):
 
 
 def test_prefixes_are_analyzed_on_demand(corpus_programs):
-    # a pool worker started cold receives 2-fault vectors whose 1-fault
-    # prefixes it has not analyzed: the tree analyzes each prefix when first
-    # needed
+    # a worker's block can hold vectors whose prefixes went to another
+    # worker, as a 3-fault vector's 2-fault prefix can: the tree analyzes
+    # each prefix when first needed.  A tree that has recorded no 1-fault
+    # prefix gives the pool's outcomes for every 2-fault vector.
     prog = corpus_programs["vigilant-fixed"]
     cfg = FaultConfig(max_faults=2, kinds=(RANDOMIZING,), protect_conditions=True)
     report = analyze(prog, cfg, jobs=2)
@@ -386,7 +480,6 @@ def test_forked_pool_with_a_warm_memo_matches_a_cold_run(cold_rewriter, corpus_p
     analyzer._rewriter.cache_clear()
     for program in corpus_programs.values():
         analyze(program, FaultConfig(max_faults=1, kinds=(ZEROING, RANDOMIZING)))
-    monkeypatch.setattr(analyzer, "multiprocessing", multiprocessing.get_context("fork"))
     monkeypatch.setattr(analyzer, "usable_cpus", lambda: 2)
     warm = report_dict(analyze(prog, THREE_FAULTS_PERMANENT, jobs=2))
     cold.pop("duration_ms"), warm.pop("duration_ms")
