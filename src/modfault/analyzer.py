@@ -128,12 +128,9 @@ class _PrefixTree:
     same terms, and the last fault's fresh name cannot occur in them.
 
     The trail and outcome of each vector shorter than ``depth``, the longest
-    a prefix can be, are kept for the life of the tree.  ``analyze`` runs
-    the 1-fault vectors before any pool worker forks, so a worker finds
-    every 1-fault prefix recorded.  A prefix not analyzed yet (one of two or
-    more faults whose vector went to another worker) is analyzed on demand.
-    Equal outcomes are one object: the tree returns the first of each from a
-    table it owns."""
+    a vector can be, are kept for the life of the tree; a vector runs only
+    after its prefix is recorded.  Equal outcomes are one object: the tree
+    returns the first of each from a table it owns."""
 
     def __init__(self, closed: ClosedProgram, rewriter: Rewriter, depth: int):
         self.closed = closed
@@ -151,11 +148,8 @@ class _PrefixTree:
         return self._outcomes.setdefault(outcome, outcome)
 
     def outcome(self, vector: FaultVector) -> Outcome:
-        """The outcome of a non-empty vector."""
-        prefix = vector[:-1]
-        if prefix not in self._records:
-            self.outcome(prefix)
-        trail, outcome = self._records[prefix]
+        """The outcome of a non-empty vector whose prefix is recorded."""
+        trail, outcome = self._records[vector[:-1]]
         resume = vector[-1].site.statement
         if resume < len(trail):
             trail = trail[:resume + 1]
@@ -221,9 +215,9 @@ def _blocks(vectors: Sequence[FaultVector], start: int,
 
 
 def _worker(block: Tuple[int, int]) -> Tuple[List[Outcome], List[int]]:
-    """The outcomes of one block of vectors, in a worker forked by
-    ``analyze``: its distinct outcomes, and for each vector the index of its
-    outcome among them."""
+    """The outcomes of one block of longest vectors, whose prefixes the
+    process that forked the worker recorded: the block's distinct outcomes,
+    and for each vector the index of its outcome among them."""
     tree, vectors = _WORKER_STATE["tree"], _WORKER_STATE["vectors"]
     outcomes = [tree.outcome(v) for v in vectors[slice(*block)]]
     distinct = {id(o): o for o in outcomes}  # the tree keeps one object per outcome
@@ -247,27 +241,31 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
             source: bytes = b"", jobs: int = 1) -> Report:
     """Simulate every fault vector of the model and classify each outcome.
 
-    The 1-fault vectors run in this process.  The longer ones go, in blocks,
-    to at most ``jobs`` processes, no more than this process has CPUs or
-    there are blocks.  The workers fork, to inherit the 1-fault runs and the
-    memo they warmed; with one process, or where the platform cannot fork,
-    no pool starts.  A worker that dies raises ``AnalysisError``; any error
-    from the pool cancels the blocks no worker has taken.
+    Every vector shorter than the longest, and every vector of a 1-fault
+    model, runs in this process, so each prefix is recorded before a pool
+    forks.  The longest go, in blocks, to at most ``jobs`` processes, no
+    more than this process has CPUs or there are blocks.  The workers fork,
+    to inherit the recorded runs and the memo they warmed; with one
+    process, or where the platform cannot fork, no pool starts.  A worker
+    that dies raises ``AnalysisError``; any error from the pool cancels the
+    blocks no worker has taken.
 
     The rewriter is the process's one for the program's primes, so the
     analysis reuses the normal forms and check verdicts of earlier analyses
     with the same primes, and the memo stays alive after it returns.  The
     report is the one a fresh process would give."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     sites = enumerate_sites(program, cfg)
     tree = _PrefixTree(ClosedProgram(program), _rewriter(program.prime_names()),
                        min(cfg.max_faults, len(sites)))
     vectors = list(enumerate_vectors(sites, cfg, fresh_name_base(program)))
-    singles = bisect.bisect(vectors, 1, key=len)
-    outcomes = [tree.outcome(v) for v in itertools.islice(vectors, singles)]
+    in_process = bisect.bisect(vectors, max(tree.depth - 1, 1), key=len)
+    outcomes = [tree.outcome(v) for v in itertools.islice(vectors, in_process)]
     forks = "fork" in multiprocessing.get_all_start_methods()
     workers = min(jobs, usable_cpus()) if forks else 1
-    blocks = _blocks(vectors, singles, BLOCKS_PER_WORKER * workers)
+    blocks = _blocks(vectors, in_process, BLOCKS_PER_WORKER * workers)
     workers = min(workers, len(blocks))
     if workers > 1:
         # imported only here: it adds about 20 ms to the start-up of every
@@ -292,7 +290,7 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
             _WORKER_STATE.clear()
             gc.unfreeze()
     else:
-        outcomes.extend(map(tree.outcome, itertools.islice(vectors, singles, None)))
+        outcomes.extend(map(tree.outcome, itertools.islice(vectors, in_process, None)))
     results = tuple(zip(vectors, outcomes))
     duration_ms = (time.monotonic() - start) * 1000.0
     return Report(

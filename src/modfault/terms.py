@@ -14,16 +14,16 @@ is a new object with a new hash, so nothing may keep a hash, or a hashed
 container, past the nodes in it.  The facts the rewriter and the executor ask
 of a node on every use (sort key, whether a fault variable occurs in it) are
 computed once, when it is built.  A condition is a node whose fields are all
-children, so the walkers below (path access and replacement, traversal, free
-variables, protection stripping) and ``executor.subst`` serve both.  Only
-statements and programs are frozen dataclasses over those nodes.
+children, so the walkers below (path replacement, protection stripping) and
+``executor.subst`` serve both.  Only statements and programs are frozen
+dataclasses over those nodes.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 
 class LanguageError(Exception):
@@ -219,29 +219,12 @@ def strip_protection(e: Expr) -> Expr:
     return e if kids == e._kids else e.with_children(kids)
 
 
-def walk(e: Expr) -> Iterator[Expr]:
-    """Pre-order traversal."""
-    yield e
-    for c in e.children():
-        yield from walk(c)
-
-
-def subterm_at(e: Expr, path: Tuple[int, ...]) -> Expr:
-    for i in path:
-        e = e.children()[i]
-    return e
-
-
 def replace_at(e: Expr, path: Tuple[int, ...], new: Expr) -> Expr:
     if not path:
         return new
     kids = list(e.children())
     kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
     return e.with_children(kids)
-
-
-def free_vars(e: Expr) -> set:
-    return {n.name for n in walk(e) if isinstance(n, Var)}
 
 
 # --- conditions ------------------------------------------------------------

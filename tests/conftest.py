@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from modfault import FaultConfig, Rewriter, ZEROING, analyze, analyzer, parse
+from modfault import FaultConfig, Rewriter, Var, ZEROING, analyze, analyzer, parse
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -23,6 +23,25 @@ CRITERION_7 = FaultConfig(max_faults=2, kinds=(ZEROING,), protect_conditions=Tru
 THREE_FAULTS_PERMANENT = FaultConfig(max_faults=3, kinds=(ZEROING,),
                                      transient_enabled=False,
                                      protect_conditions=True)
+
+
+# Term walkers that only the tests use.
+
+def walk(e):
+    """Pre-order traversal of a term or condition."""
+    yield e
+    for c in e.children():
+        yield from walk(c)
+
+
+def subterm_at(e, path):
+    for i in path:
+        e = e.children()[i]
+    return e
+
+
+def free_vars(e):
+    return {n.name for n in walk(e) if isinstance(n, Var)}
 
 
 def load_program(name):

@@ -24,7 +24,7 @@ from modfault.executor import SymbolicRun
 from modfault.faults import Fault, FaultSite, RANDOMIZING, ZEROING
 from modfault.reporting import report_dict
 
-from conftest import CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT
+from conftest import CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT, free_vars
 
 
 def _attack_sites(report):
@@ -124,7 +124,6 @@ def test_budget_failures_are_reported_not_raised(corpus_programs, monkeypatch):
     # budget exhaustion on a faulted run lands in the failure bucket instead
     # of aborting the whole analysis or counting as harmless
     from modfault import rewriter as rwmod
-    from modfault.terms import free_vars
     prog = corpus_programs["unprotected"]
     original = rwmod.Rewriter.normalize
 
@@ -391,18 +390,45 @@ def test_verdicts_do_not_depend_on_vector_order(corpus_programs):
         assert outcomes(shuffled) == expected, f"seed {seed}"
 
 
-def test_prefixes_are_analyzed_on_demand(corpus_programs):
-    # a worker's block can hold vectors whose prefixes went to another
-    # worker, as a 3-fault vector's 2-fault prefix can: the tree analyzes
-    # each prefix when first needed.  A tree that has recorded no 1-fault
-    # prefix gives the pool's outcomes for every 2-fault vector.
-    prog = corpus_programs["vigilant-fixed"]
-    cfg = FaultConfig(max_faults=2, kinds=(RANDOMIZING,), protect_conditions=True)
-    report = analyze(prog, cfg, jobs=2)
-    expected = {v: o for v, o in report.results if len(v) == 2}
-    actual = _tree_outcomes(prog, expected, Rewriter(primes=prog.prime_names()), 2)
-    assert len(actual) == 13695
-    assert actual == expected
+def _pool_blocks(prog, monkeypatch):
+    """The blocks a pool of two gets for the 3-fault permanent-only model:
+    for each, the lengths of its vectors and how many records the worker
+    added to the tree.  The pool runs in this process."""
+    sizes = _in_process_pool(monkeypatch, 2)
+    worker, blocks = analyzer._worker, []
+
+    def recording_worker(block):
+        tree, vectors = analyzer._WORKER_STATE["tree"], analyzer._WORKER_STATE["vectors"]
+        records = len(tree._records)
+        result = worker(block)
+        blocks.append(({len(v) for v in vectors[slice(*block)]},
+                       len(tree._records) - records))
+        return result
+
+    monkeypatch.setattr(analyzer, "_worker", recording_worker)
+    assert _same_reports(prog, THREE_FAULTS_PERMANENT, 1, 2)
+    assert sizes == [2] and blocks
+    return blocks
+
+
+def test_the_pool_gets_only_the_longest_vectors(corpus_programs, monkeypatch):
+    # every shorter vector, and so every prefix, runs in this process first
+    for lengths, _ in _pool_blocks(corpus_programs["vigilant-fixed"], monkeypatch):
+        assert lengths == {3}
+
+
+def test_a_worker_records_no_prefix(corpus_programs, monkeypatch):
+    for _, added in _pool_blocks(corpus_programs["vigilant-fixed"], monkeypatch):
+        assert added == 0
+
+
+@pytest.mark.parametrize("faults", [1, 2])
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_rejected(corpus_programs, monkeypatch, jobs, faults):
+    # before any site is enumerated, as FaultConfig rejects max_faults below 1
+    monkeypatch.setattr(analyzer, "enumerate_sites", None)
+    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+        analyze(corpus_programs["unprotected"], FaultConfig(max_faults=faults), jobs=jobs)
 
 
 def test_removed_check_variants(corpus_programs):

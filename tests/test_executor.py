@@ -4,6 +4,8 @@ from modfault import (
 )
 from modfault.oracle import eval_expr, eval_program, instantiate
 
+from conftest import free_vars, walk
+
 V = Var
 
 
@@ -30,12 +32,10 @@ def __one():
 
 
 def _subterms(e):
-    from modfault.terms import walk
     return set(walk(e))
 
 
 def test_only_input_variables_remain_free(corpus_programs):
-    from modfault.terms import free_vars
     for name, prog in corpus_programs.items():
         u = inline(prog)
         assigned = {st.target for st in prog.statements

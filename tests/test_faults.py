@@ -14,10 +14,10 @@ from modfault.faults import Fault, FaultSite, apply_faults, fresh_name_base
 from modfault.oracle import eval_program, instantiate
 from modfault.terms import (
     And, Assign, Declare, Fresh, Neq, One, Or, Program, Prod, Return, Var,
-    Verify, Zero, free_vars, subterm_at, walk,
+    Verify, Zero,
 )
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, free_vars, subterm_at, walk
 from test_printer import conds, exprs
 
 

@@ -8,7 +8,9 @@ from modfault import (
     parse_expr, pretty,
 )
 from modfault.parser import _Parser, tokenize
-from modfault.terms import RESERVED_NAMES, Program, free_vars
+from modfault.terms import RESERVED_NAMES, Program
+
+from conftest import free_vars
 
 
 def test_smallest_program():

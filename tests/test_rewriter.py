@@ -15,7 +15,9 @@ from modfault.rewriter import (
     FALSE, TRUE, UNKNOWN, _crt_components, _factor_counter, _is_multiple,
     _signed_factors,
 )
-from modfault.terms import _INTERNED, sort_key, walk
+from modfault.terms import _INTERNED, sort_key
+
+from conftest import walk
 
 V = Var
 pe = parse_expr
@@ -253,7 +255,7 @@ def _degenerate_moduli_env(e, env):
     # generic-value semantics assumes every modulus denotes a value > 1;
     # a draw where some reduced residue re-enters as a 0/1-valued modulus
     # lies outside the domain the rewriter reasons about
-    from modfault.terms import Mod, walk
+    from modfault.terms import Mod
     for node in walk(e):
         if isinstance(node, Mod):
             try:

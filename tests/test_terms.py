@@ -12,9 +12,9 @@ from modfault import (
     And, Eq, EqMod, Fresh, Mod, Neq, NeqMod, One, Opp, Or, Pow, Prod, Sum, Var,
     Zero, parse_cond, parse_expr,
 )
-from modfault.terms import (
-    _INTERNED, _InternRef, _forget, free_vars, sort_key, strip_protection, walk,
-)
+from modfault.terms import _INTERNED, _InternRef, _forget, sort_key, strip_protection
+
+from conftest import free_vars, walk
 
 NAMES = ("a", "b", "p", "q", "M", "x_1")
 
