@@ -57,8 +57,10 @@ class Report:
     results: Tuple[Tuple[FaultVector, Outcome], ...]
     duration_ms: float
 
-    @property
+    @functools.cached_property
     def summary(self) -> Dict[str, int]:
+        """The count of each outcome class, counted on first use; callers
+        must not mutate it."""
         counts = {"total": len(self.results), "detected": 0, "harmless": 0,
                   "attacks": 0, "failures": 0}
         for _, outcome in self.results:
@@ -253,9 +255,25 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
     The rewriter is the process's one for the program's primes, so the
     analysis reuses the normal forms and check verdicts of earlier analyses
     with the same primes, and the memo stays alive after it returns.  The
-    report is the one a fresh process would give."""
+    report is the one a fresh process would give.
+
+    The cyclic garbage collector is paused for the whole analysis, pool
+    workers included, and left as the caller had it: an analysis builds
+    no reference cycles, so a collection would free nothing, and every one
+    would walk the memo and the recorded runs."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(program, cfg, path, source, jobs)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _analyze(program: Program, cfg: FaultConfig, path: str, source: bytes,
+             jobs: int) -> Report:
     start = time.monotonic()
     sites = enumerate_sites(program, cfg)
     tree = _PrefixTree(ClosedProgram(program), _rewriter(program.prime_names()),
@@ -276,9 +294,6 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
         # has threads
         pool = process.ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
         _WORKER_STATE.update(tree=tree, vectors=vectors)
-        # forked workers share the parent's objects; frozen, the collector
-        # leaves them untouched, so their pages are not copied (gc docs)
-        gc.freeze()
         try:
             for distinct, ids in pool.map(_worker, blocks):
                 distinct = [tree.shared(o) for o in distinct]
@@ -288,7 +303,6 @@ def analyze(program: Program, cfg: FaultConfig, path: str = "<memory>",
         finally:
             pool.shutdown(cancel_futures=True)
             _WORKER_STATE.clear()
-            gc.unfreeze()
     else:
         outcomes.extend(map(tree.outcome, itertools.islice(vectors, in_process, None)))
     results = tuple(zip(vectors, outcomes))

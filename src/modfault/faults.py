@@ -50,6 +50,22 @@ class FaultSite:
     path: Optional[Tuple[int, ...]] = None  # transient: (slot, *node path)
     check: Optional[int] = None    # check: verification index
 
+    # The hash is computed once, when the site is built: sites and faults key
+    # the prefix tree's records and the renderers' caches on every vector.  A
+    # pickle carries the fields only, so that a copy loaded under another
+    # PYTHONHASHSEED hashes as one built there.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return FaultSite, self._values()
+
+    def _values(self) -> tuple:
+        return self.scope, self.statement, self.variable, self.path, self.check
+
     def describe(self) -> str:
         if self.scope == "permanent":
             return f"permanent fault on {self.variable} (statement {self.statement})"
@@ -63,6 +79,19 @@ class Fault:
     site: FaultSite
     kind: str                      # ZEROING | RANDOMIZING
     fresh_name: Optional[str] = None  # randomizing: the no-property variable
+
+    # hashed once and pickled without the hash, as FaultSite is
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Fault, self._values()
+
+    def _values(self) -> tuple:
+        return self.site, self.kind, self.fresh_name
 
 
 FaultVector = Tuple[Fault, ...]

@@ -65,7 +65,7 @@ def _report_dict(report: Report, results: List[Dict]) -> Dict:
         },
         "nominal": report.nominal,
         "results": results,
-        "summary": report.summary,
+        "summary": dict(report.summary),
         "duration_ms": report.duration_ms,
     }
 

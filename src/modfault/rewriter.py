@@ -33,6 +33,12 @@ occurrences all sit under a power that itself carries a multiplicative
 cofactor stays ``unknown`` and the check is passed through: such a deviation
 can be annihilated for corner-case instantiations of the key material, so
 claiming detection would make the safety verdict unsound.
+
+The step budget counts ``_norm`` calls, so the sequence of those calls is
+part of every verdict: a report with a failure depends on it.  An edit to the
+hot path (dispatch, sum and product assembly, the multiple-of-the-modulus
+tests, the cancellation lemma) must keep the number and order of ``_norm``
+calls, or budget verdicts move.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ from .terms import strip_protection  # noqa: F401
 TRUE = "true"
 FALSE = "false"
 UNKNOWN = "unknown"
+
+# -1, the exponent of an explicit inverse; kept alive, so built once
+_MINUS_ONE = Opp(ONE)
 
 
 class RewriteBudgetExceeded(Exception):
@@ -117,30 +126,31 @@ class Rewriter:
         if hit is not None:
             return hit[0]
         result = self._norm_dispatch(e, ctx)
-        if ctx is not None and result != ZERO and _is_multiple(result, ctx):
+        if ctx is not None and result is not ZERO and _is_multiple(result, ctx):
             result = ZERO  # multiples of the modulus vanish in its own ring
         self._memo[key] = (result, self._steps - start)
         return result
 
     def _norm_dispatch(self, e: Expr, ctx: Optional[Expr]) -> Expr:
-        if isinstance(e, Zero):
-            return ZERO
-        if isinstance(e, One):
-            return ONE
-        if isinstance(e, Var):
+        kind = type(e)
+        if kind is Var or kind is Fresh:
             return Var(e.name) if e.protected else e
-        if isinstance(e, Opp):
-            return self._mk_opp(self._norm(e.arg, ctx), ctx)
-        if isinstance(e, Sum):
-            return self._assemble_sum([self._norm(c, ctx) for c in e.operands], ctx)
-        if isinstance(e, Prod):
+        if kind is Prod:
             return self._assemble_prod([self._norm(c, ctx) for c in e.operands], ctx)
-        if isinstance(e, Pow):
+        if kind is Sum:
+            return self._assemble_sum([self._norm(c, ctx) for c in e.operands], ctx)
+        if kind is Pow:
             base = self._norm(e.base, ctx)
             exponent = self._norm(e.exponent, None)
             return self._simplify_pow(base, exponent, ctx)
-        if isinstance(e, Mod):
+        if kind is Mod:
             return self._norm_mod(e, ctx)
+        if kind is Opp:
+            return self._mk_opp(self._norm(e.arg, ctx), ctx)
+        if kind is Zero:
+            return ZERO
+        if kind is One:
+            return ONE
         raise TypeError(f"not an expression: {e!r}")
 
     def _norm_mod(self, e: Mod, ctx: Optional[Expr]) -> Expr:
@@ -167,35 +177,39 @@ class Rewriter:
         return Mod(body, modulus)
 
     def _mk_opp(self, a: Expr, ctx: Optional[Expr] = None) -> Expr:
-        if a == ZERO:
+        if a is ZERO:
             return ZERO
-        if isinstance(a, Opp):
+        kind = type(a)
+        if kind is Opp:
             return a.arg
-        if isinstance(a, Sum):
+        if kind is Sum:
             return self._assemble_sum([self._mk_opp(c, ctx) for c in a.operands], ctx)
         return Opp(a)
 
     def _assemble_sum(self, parts: List[Expr], ctx: Optional[Expr] = None) -> Expr:
         flat: List[Expr] = []
         for p in parts:
-            if ctx is not None and p != ZERO and _is_multiple(p, ctx):
+            if p is ZERO or ctx is not None and _is_multiple(p, ctx):
                 continue
-            if isinstance(p, Sum):
+            if type(p) is Sum:
                 flat.extend(p.operands)
-            elif p != ZERO:
+            else:
                 flat.append(p)
-        # opposite pairs cancel as multisets; an Opp of an Opp is not a
-        # normal form and cancels with nothing
-        counts = Counter(flat)
-        for u in counts:
-            if isinstance(u, Opp) and not isinstance(u.arg, Opp):
-                k = min(counts[u], counts.get(u.arg, 0))
-                if k:
-                    counts[u] -= k
-                    counts[u.arg] -= k
-        out: List[Expr] = []
-        for t, n in counts.items():
-            out.extend([t] * n)
+        if any(type(t) is Opp for t in flat):
+            # opposite pairs cancel as multisets; an Opp of an Opp is not a
+            # normal form and cancels with nothing
+            counts = Counter(flat)
+            for u in counts:
+                if type(u) is Opp and type(u.arg) is not Opp:
+                    k = min(counts[u], counts.get(u.arg, 0))
+                    if k:
+                        counts[u] -= k
+                        counts[u.arg] -= k
+            out: List[Expr] = []
+            for t, n in counts.items():
+                out.extend([t] * n)
+        else:
+            out = flat
         out.sort(key=sort_key)
         if not out:
             return ZERO
@@ -207,25 +221,24 @@ class Rewriter:
         flat: List[Expr] = []
         negative = False
         for p in parts:
-            if isinstance(p, Opp):
+            if type(p) is Opp:
                 negative = not negative
                 p = p.arg
-            if isinstance(p, Prod):
+            if type(p) is Prod:
                 flat.extend(p.operands)
-            elif p == ONE:
-                continue
-            else:
+            elif p is not ONE:
                 flat.append(p)
-        if any(f == ZERO for f in flat):
+        if ZERO in flat:
             return ZERO
         if ctx is not None:
-            if _covers(Counter(flat), _factor_counter(_abs_term(ctx))):
+            if _holds_factors(flat, ctx):
                 return ZERO  # multiple of the modulus
             flat = self._cancel_inverse_pairs(flat)
             flat = self._merge_same_base_powers(flat)
-            if any(f == ZERO for f in flat):
+            if ZERO in flat:
                 return ZERO
-        flat = [f for f in flat if f != ONE]
+        if ONE in flat:
+            flat = [f for f in flat if f is not ONE]
         flat.sort(key=sort_key)
         if not flat:
             result: Expr = ONE
@@ -242,7 +255,7 @@ class Rewriter:
         while changed:
             changed = False
             for i, f in enumerate(out):
-                if isinstance(f, Pow) and f.exponent == Opp(ONE):
+                if type(f) is Pow and f.exponent is _MINUS_ONE:
                     for j, g in enumerate(out):
                         if j != i and g == f.base:
                             for k in sorted((i, j), reverse=True):
@@ -302,15 +315,15 @@ class Rewriter:
     def _totient_of(self, ctx: Expr) -> Optional[Expr]:
         """phi of the context modulus when its primality is known."""
         if isinstance(ctx, Var) and ctx.name in self.primes:
-            return self._assemble_sum([ctx, Opp(ONE)])  # Fermat: p - 1
+            return self._assemble_sum([ctx, _MINUS_ONE])  # Fermat: p - 1
         if isinstance(ctx, Prod) and len(ctx.operands) == 2:
             a, b = ctx.operands
             if isinstance(a, Var) and isinstance(b, Var) and a != b \
                     and a.name in self.primes and b.name in self.primes:
                 # Euler for a product of two distinct primes
                 return self._assemble_prod(
-                    [self._assemble_sum([a, Opp(ONE)]),
-                     self._assemble_sum([b, Opp(ONE)])], None)
+                    [self._assemble_sum([a, _MINUS_ONE]),
+                     self._assemble_sum([b, _MINUS_ONE])], None)
         return None
 
     # -- deciding -----------------------------------------------------------
@@ -352,7 +365,9 @@ class Rewriter:
 
     def _lemma_cancel(self, a: Expr, b: Expr, m: Expr) -> Tuple[Expr, Expr, Expr]:
         """a*x = b*x (mod N*x)  reduces to  a = b (mod N); a or b may be zero."""
-        if m == ZERO or a == b == ZERO:
+        if m is ZERO or a is ZERO and b is ZERO:
+            return a, b, m
+        if not _shares_a_factor(a, b, m):
             return a, b, m
         fm = _factor_counter(m)
         (fa, sa), (fb, sb) = _signed_factors(a), _signed_factors(b)
@@ -425,7 +440,7 @@ class Rewriter:
         for f, _neg in signed[1:]:
             common = common & f
         units = Counter({t: n for t, n in common.items()
-                         if isinstance(t, Pow) and t.exponent == Opp(ONE)})
+                         if type(t) is Pow and t.exponent is _MINUS_ONE})
         if not units:
             return delta
         rebuilt = [self._rebuild_product(f - units, neg) for f, neg in signed]
@@ -534,20 +549,48 @@ def _covers(haystack: Counter, needle: Counter) -> bool:
     return True
 
 
-def _abs_term(t: Expr) -> Expr:
-    return t.arg if isinstance(t, Opp) else t
+def _holds_factors(flat: List[Expr], m: Expr) -> bool:
+    """The factor list ``flat`` holds every factor of ``m``, up to sign, as
+    often as ``m`` does: their product is a multiple of ``m``."""
+    if type(m) is Opp:
+        m = m.arg
+    if type(m) is not Prod:
+        return m in flat
+    for t, n in _factor_counter(m).items():
+        if n == 1:
+            if t not in flat:
+                return False
+        elif flat.count(t) < n:
+            return False
+    return True
+
+
+def _shares_a_factor(a: Expr, b: Expr, m: Expr) -> bool:
+    """Some factor of ``m`` is a factor of both ``a`` and ``b``, up to sign;
+    zero has every factor."""
+    fa = a.arg if type(a) is Opp else a
+    fa = fa.operands if type(fa) is Prod else (fa,)
+    fb = b.arg if type(b) is Opp else b
+    fb = fb.operands if type(fb) is Prod else (fb,)
+    for t in (m.operands if type(m) is Prod else (m,)):
+        if (a is ZERO or t in fa) and (b is ZERO or t in fb):
+            return True
+    return False
 
 
 def _is_multiple(a: Expr, b: Expr) -> bool:
     """a is a structural multiple of b, up to sign (factor multiset inclusion)."""
-    if a == b:
+    if a is b:
         return True
-    a, b = _abs_term(a), _abs_term(b)
-    if not isinstance(a, Prod):
+    if type(a) is Opp:
+        a = a.arg
+    if type(b) is Opp:
+        b = b.arg
+    if type(a) is not Prod:
         # a single factor covers only itself: every product the parser or
         # the rewriter builds has two or more factors
-        return a == b
-    if isinstance(b, Prod):
+        return a is b
+    if type(b) is Prod:
         return _covers(_factor_counter(a), _factor_counter(b))
     return b in a.operands
 
@@ -557,8 +600,8 @@ def _crt_components(m: Expr) -> List[Expr]:
     factor f of a product, f^n held as the product of n copies, in order of
     first occurrence; a modulus with fewer than two distinct factors is its
     own single component."""
-    if isinstance(m, Prod):
-        counts = Counter(m.operands)
+    if type(m) is Prod:
+        counts = _factor_counter(m)
         if len(counts) > 1:
             return [f if n == 1 else Prod((f,) * n) for f, n in counts.items()]
     return [m]

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import multiprocessing
 import os
@@ -14,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from modfault import analyzer
 from modfault import (
-    ATTACK, DETECTED, FAILURE, HARMLESS, ClosedProgram, FaultConfig, Rewriter,
-    analyze, classify, count_vectors, enumerate_sites, enumerate_vectors,
+    ATTACK, DETECTED, FAILURE, HARMLESS, AnalysisError, ClosedProgram, FaultConfig,
+    Rewriter, analyze, classify, count_vectors, enumerate_sites, enumerate_vectors,
     nominal_run, parse,
 )
 from modfault.analyzer import _PrefixTree, removed_check_variants
@@ -114,8 +116,12 @@ def test_degenerate_modulus_warning(corpus_programs):
     assert any("degenerate" in w for w in outcome.warnings)
 
 
+# A program whose honest run aborts.
+NOMINAL_ABORTS = "noprop x ; if x != 0 abort with x ; return x ; _ != @"
+
+
 def test_nominal_must_complete():
-    prog = parse("noprop x ; if x != 0 abort with x ; return x ; _ != @")
+    prog = parse(NOMINAL_ABORTS)
     with pytest.raises(Exception, match="nominal"):
         analyze(prog, FaultConfig(max_faults=1))
 
@@ -526,3 +532,63 @@ def test_a_prime_name_does_not_leak_into_a_noprop_program(cold_rewriter):
         report.pop("duration_ms")
     assert with_primes["nominal"] == "1"
     assert warm == cold != with_primes
+
+
+# -- the paused collector ---------------------------------------------------------
+
+@pytest.fixture
+def no_collector():
+    """The cyclic collector off, and garbage from before the test freed."""
+    collecting = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if collecting:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name, cfg, jobs, max_steps, failures", [
+    ("vigilant-fixed", CRITERION_7, 1, None, 0),
+    ("vigilant-fixed", CRITERION_7, 2, None, 0),
+    ("unprotected", FaultConfig(max_faults=1), 1, None, 0),
+    ("vigilant-fixed", CRITERION_7, 1, 2000, 204),
+], ids=["criterion-7-j1", "criterion-7-j2", "unprotected-1f", "criterion-7-budget"])
+def test_an_analysis_leaves_no_cyclic_garbage(cold_rewriter, corpus_programs, monkeypatch,
+                                              no_collector, name, cfg, jobs, max_steps,
+                                              failures):
+    # analyze pauses the collector, which frees nothing only while an
+    # analysis, its pool and its budget failures build no reference cycle
+    monkeypatch.setattr(analyzer, "usable_cpus", lambda: 2)
+    program = corpus_programs[name]
+    if max_steps:
+        analyzer._rewriter(program.prime_names()).max_steps = max_steps
+    assert analyze(program, cfg, jobs=jobs).summary["failures"] == failures
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("source, cfg, jobs, error", [
+    ("unprotected", FaultConfig(max_faults=2, kinds=(ZEROING,)), 2, None),
+    ("unprotected", FaultConfig(max_faults=1), 1, None),
+    ("unprotected", FaultConfig(max_faults=1), 0, ValueError),
+    (NOMINAL_ABORTS, FaultConfig(max_faults=1), 1, AnalysisError),
+], ids=["pool", "one-process", "jobs-0", "nominal-aborts"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_analyze_restores_the_collector_state(corpus_programs, monkeypatch, source, cfg,
+                                              jobs, error, collecting):
+    monkeypatch.setattr(analyzer, "usable_cpus", lambda: 2)
+    program = corpus_programs.get(source) or parse(source)
+    before = gc.isenabled()
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            analyze(program, cfg, jobs=jobs)
+        assert gc.isenabled() == collecting
+        assert gc.get_freeze_count() == 0
+    finally:
+        if before:
+            gc.enable()
+        else:
+            gc.disable()

@@ -318,3 +318,22 @@ def test_closed_stdout_maps_to_exit_1(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # criterion 7's JSON report from two interpreters that hash strings
+    # differently: fault sites, faults and vectors key dicts on every vector
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "modfault.cli", "analyze", FIXED, "--faults", "2",
+             "--kinds", "zeroing", "--protect-conditions", "--jobs", "1",
+             "--format", "json", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads((out / "vigilant-fixed.report.json").read_text())
+        report.pop("duration_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]

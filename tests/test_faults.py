@@ -1,4 +1,9 @@
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -333,3 +338,38 @@ def test_sites_match_the_reference_under_protection_at_any_depth(conditions, val
                    Neq(Var("_"), Var("@")))
     for cfg in SITE_SETTINGS:
         assert enumerate_sites(prog, cfg) == reference_enumerate_sites(prog, cfg)
+
+
+# A fault built in another interpreter, pickled with that interpreter's hash
+# of it.
+PICKLED_FAULT = """
+import pickle, sys
+from modfault.faults import Fault, FaultSite
+fault = Fault(FaultSite("transient", 3, path=(0, 1)), "randomizing", "f1")
+sys.stdout.buffer.write(pickle.dumps((hash(fault), fault)))
+"""
+
+
+def test_a_pickled_fault_hashes_as_one_built_here():
+    # the hash is cached on the fault but not pickled with it: a fault
+    # pickled under another PYTHONHASHSEED loads with this process's hash
+    fault = Fault(FaultSite("transient", 3, path=(0, 1)), RANDOMIZING, "f1")
+    theirs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", PICKLED_FAULT], capture_output=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed), timeout=60)
+        their_hash, loaded = pickle.loads(proc.stdout)
+        assert loaded == fault and hash(loaded) == hash(fault)
+        assert hash(loaded.site) == hash(fault.site)
+        theirs.append(their_hash)
+    assert theirs[0] != theirs[1]  # the seeds do hash the fault differently
+
+
+def test_a_replaced_fault_hashes_as_one_built_anew():
+    site = FaultSite("transient", 3, path=(0, 1))
+    fault = dataclasses.replace(Fault(site, ZEROING), kind=RANDOMIZING, fresh_name="f1")
+    assert fault == Fault(site, RANDOMIZING, "f1")
+    assert hash(fault) == hash(Fault(site, RANDOMIZING, "f1"))
+    moved = dataclasses.replace(site, statement=4)
+    assert moved == FaultSite("transient", 4, path=(0, 1))
+    assert hash(moved) == hash(FaultSite("transient", 4, path=(0, 1)))

@@ -29,6 +29,15 @@ def test_text_summary_line(unprotected_report):
     assert text.count("ATTACK") == s["attacks"]
 
 
+def test_the_summary_is_counted_once_and_handed_out_as_a_copy(corpus_programs):
+    # the renderers and the CLI's exit code share one count; the public dict
+    # form gets its own
+    report = analyze(corpus_programs["unprotected"], FaultConfig(max_faults=1))
+    assert report.summary is report.summary
+    report_dict(report)["summary"]["total"] = 0
+    assert report.summary["total"] == len(report.results) == 56
+
+
 def test_json_schema_and_roundtrip(unprotected_report):
     payload = render(unprotected_report, "json")
     data = json.loads(payload)
