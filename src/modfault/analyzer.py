@@ -12,7 +12,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .executor import ClosedProgram, SymbolicRun, WalkState, run_symbolic, subst
 # Unused here, but kept bound: the benchmark's tracer patches this name.
@@ -38,8 +38,7 @@ class AnalysisError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str                      # detected | harmless | attack | failure
     detected_by: Optional[int] = None
     witness: Optional[str] = None  # attack: faulted normal form (pretty)

@@ -35,12 +35,12 @@ def _load(path: str):
         raise SystemExit(f"{path}: {err}")
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_transient(text: str) -> bool:
     if text.lower() in ("true", "1", "yes", "on"):
         return True
     if text.lower() in ("false", "0", "no", "off"):
         return False
-    raise SystemExit(f"error: expected true or false, got {text!r}")
+    raise SystemExit(f"error: --transient: expected true or false, got {text!r}")
 
 
 def cmd_analyze(args) -> int:
@@ -56,6 +56,16 @@ def cmd_analyze(args) -> int:
         raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
     if args.max_vectors < 1:
         raise SystemExit(f"error: --max-vectors must be >= 1, got {args.max_vectors}")
+    try:
+        cfg = FaultConfig(
+            max_faults=args.faults,
+            kinds=tuple(k.strip() for k in args.kinds.split(",") if k.strip()),
+            transient_enabled=_parse_transient(args.transient),
+            protect_conditions=args.protect_conditions,
+            max_vectors=args.max_vectors,
+        )
+    except ValueError as err:
+        raise SystemExit(f"error: {err}")
     outdir = Path(args.out or ".")
     if args.out and any(fmt != "text" for fmt in formats):
         try:
@@ -63,16 +73,6 @@ def cmd_analyze(args) -> int:
         except OSError as err:
             raise SystemExit(f"error: cannot write {args.out}: {err.strerror}")
     program, source = _load(args.file)
-    try:
-        cfg = FaultConfig(
-            max_faults=args.faults,
-            kinds=tuple(k.strip() for k in args.kinds.split(",") if k.strip()),
-            transient_enabled=_parse_bool(args.transient),
-            protect_conditions=args.protect_conditions,
-            max_vectors=args.max_vectors,
-        )
-    except ValueError as err:
-        raise SystemExit(f"error: {err}")
     try:
         report = analyze(program, cfg, path=args.file, source=source,
                          jobs=args.jobs)
@@ -107,9 +107,9 @@ def cmd_sites(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    program, _ = _load(args.file)
     if args.trials < 1:
         raise SystemExit("error: --trials must be >= 1")
+    program, _ = _load(args.file)
     try:
         report = check_soundness(program, args.trials, args.seed)
     except OracleError as err:

@@ -34,7 +34,6 @@ from the first statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union,
 )
@@ -53,15 +52,13 @@ class ExecutionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class UnrolledTerm:
+class UnrolledTerm(NamedTuple):
     """Closed checks in program order plus the closed returned expression."""
     checks: Tuple[Cond, ...]
     result: Expr
 
 
-@dataclass(frozen=True)
-class SymbolicRun:
+class SymbolicRun(NamedTuple):
     detected_by: Optional[int]  # first verification that provably aborts
     normal_form: Optional[Expr]  # normalized result when no check fired
     warnings: Tuple[str, ...] = ()

@@ -26,7 +26,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .terms import (
     And, Assign, Cond, Declare, Expr, Fresh, Or, Program, Return, Verify, ZERO,
@@ -42,29 +42,12 @@ class EnumerationCapExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FaultSite:
+class FaultSite(NamedTuple):
     scope: str                     # "permanent" | "transient" | "check"
     statement: int                 # index into Program.statements
     variable: Optional[str] = None  # permanent: the corrupted variable
     path: Optional[Tuple[int, ...]] = None  # transient: (slot, *node path)
     check: Optional[int] = None    # check: verification index
-
-    # The hash is computed once, when the site is built: sites and faults key
-    # the prefix tree's records and the renderers' caches on every vector.  A
-    # pickle carries the fields only, so that a copy loaded under another
-    # PYTHONHASHSEED hashes as one built there.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._values()))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return FaultSite, self._values()
-
-    def _values(self) -> tuple:
-        return self.scope, self.statement, self.variable, self.path, self.check
 
     def describe(self) -> str:
         if self.scope == "permanent":
@@ -74,24 +57,10 @@ class FaultSite:
         return f"transient fault at statement {self.statement}, path {self.path}"
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     site: FaultSite
     kind: str                      # ZEROING | RANDOMIZING
     fresh_name: Optional[str] = None  # randomizing: the no-property variable
-
-    # hashed once and pickled without the hash, as FaultSite is
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._values()))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Fault, self._values()
-
-    def _values(self) -> tuple:
-        return self.site, self.kind, self.fresh_name
 
 
 FaultVector = Tuple[Fault, ...]
@@ -211,8 +180,7 @@ def enumerate_vectors(sites: Sequence[FaultSite], cfg: FaultConfig,
                     for i, kind in zip(combo, assignment))
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     """A fault vector as an overlay on a program, which stays untouched.
 
     ``data`` holds each statement's data faults (permanent and transient),

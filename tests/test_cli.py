@@ -199,6 +199,21 @@ def test_max_vectors_below_one_is_rejected_before_parsing(monkeypatch, capsys, c
     assert f"error: --max-vectors must be >= 1, got {cap}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", FIXED, "--jobs", "1", "--faults", "0"],
+     "error: max_faults must be >= 1"),
+    (["analyze", FIXED, "--jobs", "1", "--kinds", "sparkles"],
+     "error: unknown fault kind 'sparkles'; choose from zeroing, randomizing"),
+    (["analyze", FIXED, "--jobs", "1", "--transient", "maybe"],
+     "error: --transient: expected true or false, got 'maybe'"),
+    (["oracle", FIXED, "--trials", "0"], "error: --trials must be >= 1"),
+], ids=["faults", "kinds", "transient", "trials"])
+def test_bad_model_options_are_rejected_before_parsing(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("modfault.cli.parse", _no_parse)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_max_vectors_cap(capsys):
     assert main(["analyze", UNPROTECTED, "--faults", "3", "--jobs", "1",
                  "--max-vectors", "10"]) == 1

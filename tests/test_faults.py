@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import pickle
@@ -351,8 +350,6 @@ sys.stdout.buffer.write(pickle.dumps((hash(fault), fault)))
 
 
 def test_a_pickled_fault_hashes_as_one_built_here():
-    # the hash is cached on the fault but not pickled with it: a fault
-    # pickled under another PYTHONHASHSEED loads with this process's hash
     fault = Fault(FaultSite("transient", 3, path=(0, 1)), RANDOMIZING, "f1")
     theirs = []
     for seed in ("0", "1"):
@@ -367,9 +364,9 @@ def test_a_pickled_fault_hashes_as_one_built_here():
 
 def test_a_replaced_fault_hashes_as_one_built_anew():
     site = FaultSite("transient", 3, path=(0, 1))
-    fault = dataclasses.replace(Fault(site, ZEROING), kind=RANDOMIZING, fresh_name="f1")
+    fault = Fault(site, ZEROING)._replace(kind=RANDOMIZING, fresh_name="f1")
     assert fault == Fault(site, RANDOMIZING, "f1")
     assert hash(fault) == hash(Fault(site, RANDOMIZING, "f1"))
-    moved = dataclasses.replace(site, statement=4)
+    moved = site._replace(statement=4)
     assert moved == FaultSite("transient", 4, path=(0, 1))
     assert hash(moved) == hash(FaultSite("transient", 4, path=(0, 1)))
