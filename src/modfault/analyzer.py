@@ -4,6 +4,7 @@ symbolically and classified against the attack success condition."""
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import gc
 import hashlib
@@ -60,17 +61,12 @@ class Report:
     def summary(self) -> Dict[str, int]:
         """The count of each outcome class, counted on first use; callers
         must not mutate it."""
-        counts = {"total": len(self.results), "detected": 0, "harmless": 0,
-                  "attacks": 0, "failures": 0}
-        for _, outcome in self.results:
-            if outcome.kind == DETECTED:
-                counts["detected"] += 1
-            elif outcome.kind == HARMLESS:
-                counts["harmless"] += 1
-            elif outcome.kind == ATTACK:
-                counts["attacks"] += 1
-            else:
-                counts["failures"] += 1
+        kinds = collections.Counter(outcome.kind for _, outcome in self.results)
+        counts = {"total": len(self.results), "detected": kinds[DETECTED],
+                  "harmless": kinds[HARMLESS], "attacks": kinds[ATTACK]}
+        # every other kind counts as a failure
+        counts["failures"] = (counts["total"] - counts["detected"]
+                              - counts["harmless"] - counts["attacks"])
         return counts
 
     def attacks(self) -> List[Tuple[FaultVector, Outcome]]:

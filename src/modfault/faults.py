@@ -75,6 +75,9 @@ class FaultConfig:
     max_vectors: int = 5_000_000
 
     def __post_init__(self):
+        if isinstance(self.kinds, str):
+            raise ValueError(f"kinds must be a tuple of kind names, "
+                             f"not the string {self.kinds!r}")
         for k in self.kinds:
             if k not in KIND_ORDER:
                 raise ValueError(f"unknown fault kind {k!r}; "
@@ -83,6 +86,8 @@ class FaultConfig:
         object.__setattr__(self, "kinds", tuple(dict.fromkeys(self.kinds)))
         if self.max_faults < 1:
             raise ValueError("max_faults must be >= 1")
+        if self.max_vectors < 1:
+            raise ValueError(f"max_vectors must be >= 1, got {self.max_vectors}")
         if not self.kinds:
             raise ValueError(f"kinds must be a non-empty subset of {KIND_ORDER}")
 

@@ -28,11 +28,9 @@ two-valued: equalities hold only when proven, inequalities hold unless
 equality is proven.  ``decide_check`` (verifications) is three-valued: an
 abort is only claimed when the residual difference is *generically* nonzero.
 Fault variables are the ``Fresh`` nodes of the condition, so a verdict
-depends on the condition alone.  A nonzero residual whose fault-variable
-occurrences all sit under a power that itself carries a multiplicative
-cofactor stays ``unknown`` and the check is passed through: such a deviation
-can be annihilated for corner-case instantiations of the key material, so
-claiming detection would make the safety verdict unsound.
+depends on the condition alone.  Which nonzero residuals count as firing is
+the rule of ``Rewriter._generically_nonzero``; any other stays ``unknown``
+and the check is passed through.
 
 The step budget counts ``_norm`` calls, so the sequence of those calls is
 part of every verdict: a report with a failure depends on it.  An edit to the
@@ -44,7 +42,7 @@ calls, or budget verdicts move.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .terms import (
     And, Cond, Eq, EqMod, Expr, Fresh, Mod, Neq, NeqMod, ONE, One, Opp, Or,
@@ -462,11 +460,8 @@ class Rewriter:
             return False
         if not delta._fresh:
             return True  # no fault variable occurs at all
-        scan = _FreshScan()
-        scan.visit(delta, in_prod=False, in_pow=False)
-        if scan.in_modulus:
-            return True
-        return scan.transparent and not scan.opaque
+        channels = set(_fault_channels(delta, False, False))
+        return _IN_MODULUS in channels or channels == {_TRANSPARENT}
 
 
 def _connective(c: Cond, decide, true, false):
@@ -485,42 +480,30 @@ def _connective(c: Cond, decide, true, false):
 _NEGATE3 = {TRUE: FALSE, FALSE: TRUE, UNKNOWN: UNKNOWN}
 
 
-class _FreshScan:
-    """Classify each fault-variable occurrence of a residual.
+# The channels through which a fault variable reaches a residual
+_TRANSPARENT, _OPAQUE, _IN_MODULUS = "transparent", "opaque", "in modulus"
 
-    transparent: reachable through sums, opposites and product factors only,
-    or through a power that has no product around it (a unit coefficient).
-    opaque: beneath a power that itself sits inside a product.
-    in_modulus: inside the modulus operand of some reduction.
-    Subterms without a fault variable are not entered.
-    """
 
-    def __init__(self):
-        self.transparent = False
-        self.opaque = False
-        self.in_modulus = False
-
-    def visit(self, e: Expr, in_prod: bool, in_pow: bool):
-        if not e._fresh:
-            return
-        if isinstance(e, Fresh):
-            if in_pow and in_prod:
-                self.opaque = True
-            else:
-                self.transparent = True
-            return
-        if isinstance(e, Mod):
-            if e.modulus._fresh:
-                self.in_modulus = True
-            self.visit(e.body, in_prod, in_pow)
-            return
+def _fault_channels(e: Expr, in_prod: bool, in_pow: bool) -> Iterator[str]:
+    """The channel of each fault-variable occurrence in ``e``: opaque beneath
+    a power that sits inside a product, in a modulus when inside the modulus
+    operand of a reduction, transparent otherwise.  Subterms without a fault
+    variable are not entered."""
+    if not e._fresh:
+        return
+    if isinstance(e, Fresh):
+        yield _OPAQUE if in_pow and in_prod else _TRANSPARENT
+    elif isinstance(e, Mod):
+        if e.modulus._fresh:
+            yield _IN_MODULUS
+        yield from _fault_channels(e.body, in_prod, in_pow)
+    else:
         if isinstance(e, Pow):
-            for c in e.children():
-                self.visit(c, in_prod, in_pow or in_prod)
-            return
-        child_in_prod = in_prod or isinstance(e, Prod)
+            in_pow = in_pow or in_prod
+        else:
+            in_prod = in_prod or isinstance(e, Prod)
         for c in e.children():
-            self.visit(c, child_in_prod, in_pow)
+            yield from _fault_channels(c, in_prod, in_pow)
 
 
 def _factor_counter(t: Expr) -> Counter:

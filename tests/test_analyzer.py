@@ -61,6 +61,19 @@ def test_exhaustiveness(corpus_programs):
     assert s["total"] == s["detected"] + s["harmless"] + s["attacks"] + s["failures"]
 
 
+def test_summary_counts_any_other_kind_as_a_failure():
+    site = FaultSite("permanent", 0, variable="x")
+    kinds = [DETECTED, DETECTED, HARMLESS, ATTACK, FAILURE, "timeout"]
+    report = analyzer.Report(
+        path="hand-built.fj", sha256="0" * 64, config=FaultConfig(), nominal="x",
+        results=tuple(((Fault(site, ZEROING),), analyzer.Outcome(kind))
+                      for kind in kinds),
+        duration_ms=1.0)
+    # the keys' order is the order of the JSON report's summary
+    assert list(report.summary.items()) == [
+        ("total", 6), ("detected", 2), ("harmless", 1), ("attacks", 1), ("failures", 2)]
+
+
 def test_unprotected_gcd_attack_surface(corpus_programs):
     report = analyze(corpus_programs["unprotected"], FaultConfig(max_faults=1))
     attacked_vars = {v[0].site.variable for v, o in report.results

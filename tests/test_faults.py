@@ -119,6 +119,20 @@ def test_unknown_kinds_are_refused_by_the_config():
         FaultConfig(kinds=())
 
 
+def test_a_bare_string_of_kinds_is_refused():
+    # iterating the string would name its first character as the bad kind
+    with pytest.raises(ValueError, match="^kinds must be a tuple of kind names, "
+                                         "not the string 'zeroing'$"):
+        FaultConfig(kinds=ZEROING)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_a_vector_cap_below_one_is_refused_by_the_config(cap):
+    with pytest.raises(ValueError, match=f"^max_vectors must be >= 1, got {cap}$"):
+        FaultConfig(max_vectors=cap)
+    assert FaultConfig(max_vectors=1).max_vectors == 1
+
+
 def test_enumeration_is_deterministic(corpus_programs):
     prog = corpus_programs["vigilant-fixed"]
     cfg = FaultConfig(max_faults=1)
