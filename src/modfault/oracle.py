@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from .executor import inline
+from .executor import ClosedProgram
 from .faults import Injection, RANDOMIZING, apply_faults, fault_value, inject
 from .rewriter import Rewriter
 from .terms import (
@@ -247,9 +247,9 @@ def check_soundness(program: Program, trials: int, seed: int = 0) -> SoundnessRe
     them from a memo that an analysis filled."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    unrolled = inline(program)
+    inlined = ClosedProgram(program).steps[-1].value  # the closed return
     rewriter = Rewriter(primes=program.prime_names())
-    normal = rewriter.normalize(unrolled.result)
+    normal = rewriter.normalize(inlined)
     failures = 0
     first = None
     for i in range(trials):
@@ -259,7 +259,7 @@ def check_soundness(program: Program, trials: int, seed: int = 0) -> SoundnessRe
             failures += 1
             first = first or dict(env.values)
             continue
-        inlined_value = eval_expr(unrolled.result, env)
+        inlined_value = eval_expr(inlined, env)
         normal_value = eval_expr(normal, env)
         if not (direct[1] == inlined_value == normal_value):
             failures += 1

@@ -4,10 +4,12 @@ writes, with only the ``duration_ms`` line cut out, so whitespace, key
 spacing and escaping are pinned as well as the data.
 
 The four corpus files under the 1-fault model are kept in full under
-``golden/``; the three 2-fault models and the 3-fault one on
-``vigilant-fixed`` are kept as a sha256 of the whole report plus a
-4-hex-digit digest per vector, so a mismatch can name the first vector that
-changed.  Regenerate with
+``golden/``.  The 2-fault and 3-fault models of ``vigilant-fixed`` in
+``DIGEST_MODELS`` are kept in ``golden/digests.json`` as a sha256 of the
+whole report plus a 4-hex-digit digest per vector, so a mismatch can name the
+first vector that changed.  The tests below analyze four of them; the full
+2-fault model, ``two-faults``, runs only in CI, through ``tests/pins.py``,
+which checks any of them through the CLI.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only when a verdict change is
 intended.
 """
@@ -15,20 +17,23 @@ intended.
 import hashlib
 import json
 import os
-import pathlib
-import re
 
 import pytest
 
 from modfault import FaultConfig, RANDOMIZING, analyze
+from modfault.cli import _parse_transient, build_parser
 from modfault.reporting import render
 
 from conftest import (
     CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT, load_program,
 )
+from pins import (
+    DIGESTS, cli_options, digest_mismatch, exit_code, first_difference,
+    strip_duration, vector_digests,
+)
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-DIGESTS = GOLDEN / "digests.json"
+GOLDEN = DIGESTS.parent
+PINS = json.loads(DIGESTS.read_text())
 
 ONE_FAULT = FaultConfig(max_faults=1)
 DIGEST_MODELS = {
@@ -37,6 +42,7 @@ DIGEST_MODELS = {
         max_faults=2, kinds=(RANDOMIZING,), protect_conditions=True),
     "two-faults-no-transient": FaultConfig(max_faults=2, transient_enabled=False),
     "three-faults-permanent": THREE_FAULTS_PERMANENT,
+    "two-faults": FaultConfig(max_faults=2),
 }
 
 
@@ -50,27 +56,7 @@ def run_model(name: str, cfg: FaultConfig):
 
 def report_bytes(report) -> bytes:
     """The rendered JSON report without its one run-dependent line."""
-    stripped, n = re.subn(rb',\n  "duration_ms": [^\n]*', b"",
-                          render(report, "json"))
-    assert n == 1, "the JSON report has no single duration_ms line"
-    return stripped
-
-
-def vector_digests(data: dict) -> str:
-    return "".join(hashlib.sha256(json.dumps(r).encode()).hexdigest()[:4]
-                   for r in data["results"])
-
-
-def _first_difference(actual: dict, expected_vectors, actual_vectors) -> str:
-    for i, (a, b) in enumerate(zip(actual_vectors, expected_vectors)):
-        if a != b:
-            faults = json.dumps(actual["results"][i]["faults"])
-            return f"first differing vector: #{i} {faults}"
-    if len(actual_vectors) != len(expected_vectors):
-        return (f"vector count differs: {len(actual_vectors)} "
-                f"instead of {len(expected_vectors)}")
-    return ("every vector's data match; the header or the layout "
-            "(whitespace, escaping) differs")
+    return strip_duration(render(report, "json"))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_FILES))
@@ -79,20 +65,14 @@ def test_one_fault_report_matches_golden(name):
     expected_raw = (GOLDEN / f"{name}.1f.json").read_bytes()
     if raw != expected_raw:
         actual, expected = json.loads(raw), json.loads(expected_raw)
-        pytest.fail(f"{name}: " + _first_difference(
+        pytest.fail(f"{name}: " + first_difference(
             actual, expected["results"], actual["results"]))
 
 
 def _check_digest(model: str, report):
-    expected = json.loads(DIGESTS.read_text())[model]
-    raw = report_bytes(report)
-    if hashlib.sha256(raw).hexdigest() != expected["sha256"]:
-        actual = json.loads(raw)
-        chunks = [expected["vectors"][i:i + 4]
-                  for i in range(0, len(expected["vectors"]), 4)]
-        mine = vector_digests(actual)
-        mine = [mine[i:i + 4] for i in range(0, len(mine), 4)]
-        pytest.fail(f"{model}: " + _first_difference(actual, chunks, mine))
+    mismatch = digest_mismatch(PINS[model], report_bytes(report))
+    if mismatch:
+        pytest.fail(f"{model}: {mismatch}")
 
 
 def test_criterion_7_report_matches_digest(criterion_7_report):
@@ -108,6 +88,29 @@ def test_two_fault_report_matches_digest(model):
 def test_three_fault_report_matches_digest():
     _check_digest("three-faults-permanent",
                   run_model("vigilant-fixed", THREE_FAULTS_PERMANENT))
+
+
+@pytest.mark.parametrize("model", sorted(PINS))
+def test_pinned_options_parse_back_to_the_config(model):
+    """The options ``tests/pins.py`` gives the CLI select the pinned model."""
+    pin = PINS[model]
+    args = build_parser().parse_args(
+        ["analyze", pin["file"], *cli_options(pin["config"])])
+    assert {
+        "max_faults": args.faults,
+        "kinds": args.kinds.split(","),
+        "transient": _parse_transient(args.transient),
+        "protect_conditions": args.protect_conditions,
+    } == pin["config"]
+
+
+@pytest.mark.parametrize("model", sorted(PINS))
+def test_pinned_exit_code_follows_the_summary(model):
+    summary = PINS[model]["summary"]
+    assert exit_code(summary) == (2 if summary["attacks"] else
+                                  3 if summary["failures"] else 0)
+    assert exit_code({**summary, "attacks": 0, "failures": 1}) == 3
+    assert exit_code({**summary, "attacks": 0, "failures": 0}) == 0
 
 
 def _regenerate():
