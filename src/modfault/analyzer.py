@@ -24,7 +24,7 @@ from .faults import (
 )
 from .printer import pretty_expr
 from .rewriter import Rewriter, RewriteBudgetExceeded, degenerate_moduli
-from .terms import And, Cond, Expr, Or, Program, Verify
+from .terms import And, Cond, Or, Program, Verify
 
 DETECTED = "detected"
 HARMLESS = "harmless"
@@ -73,13 +73,9 @@ class Report:
         return [(v, o) for v, o in self.results if o.kind == ATTACK]
 
 
-def bind_results(cond: Cond, nominal: Expr, faulted: Expr) -> Cond:
-    return subst(cond, {NOMINAL_RESULT: nominal, FAULTED_RESULT: faulted})
-
-
 def _satisfied_branch(bound: Cond, template: Cond, rewriter: Rewriter) -> str:
-    """The first Or-disjunct that holds, labelled with the unbound source
-    condition so attack reports stay readable."""
+    """The first Or-disjunct that holds, labelled with the source condition,
+    braces included, so attack reports stay readable."""
     if isinstance(bound, And):
         for b, t in ((bound.lhs, template.lhs), (bound.rhs, template.rhs)):
             if isinstance(b, (And, Or)):
@@ -92,10 +88,11 @@ def _satisfied_branch(bound: Cond, template: Cond, rewriter: Rewriter) -> str:
     return pretty_expr(template)
 
 
-def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
+def classify(nominal: SymbolicRun, faulted: SymbolicRun, closed: ClosedProgram,
              rewriter: Rewriter) -> Outcome:
-    """Per-vector classification against the attack success condition, with
-    ``_`` bound to the nominal normal form and ``@`` to the faulted one."""
+    """Per-vector classification against the program's closed attack success
+    condition, with ``_`` bound to the nominal normal form and ``@`` to the
+    faulted one."""
     if not nominal.completed:
         raise AnalysisError("nominal run aborted; honest computations must complete")
     warnings = faulted.warnings
@@ -103,9 +100,10 @@ def classify(nominal: SymbolicRun, faulted: SymbolicRun, success_template: Cond,
         return Outcome(DETECTED, detected_by=faulted.detected_by, warnings=warnings)
     if degenerate_moduli(faulted.normal_form):
         warnings = warnings + ("degenerate modulus (reduction modulo zero)",)
-    bound = bind_results(success_template, nominal.normal_form, faulted.normal_form)
+    bound = subst(closed.condition, {NOMINAL_RESULT: nominal.normal_form,
+                                     FAULTED_RESULT: faulted.normal_form})
     if rewriter.decide(bound):
-        branch = _satisfied_branch(bound, success_template, rewriter)
+        branch = _satisfied_branch(bound, closed.program.attack_condition, rewriter)
         return Outcome(ATTACK, witness=pretty_expr(faulted.normal_form),
                        branch=branch, warnings=warnings)
     return Outcome(HARMLESS, warnings=warnings)
@@ -156,10 +154,9 @@ class _PrefixTree:
         return outcome
 
     def _run(self, faults: Injection, trail: List[WalkState]) -> Outcome:
-        program = self.closed.program
         try:
             run = run_symbolic(self.closed, self.rewriter, faults, trail)
-            outcome = classify(self.nominal, run, program.attack_condition, self.rewriter)
+            outcome = classify(self.nominal, run, self.closed, self.rewriter)
         except RewriteBudgetExceeded as err:
             outcome = Outcome(FAILURE, error=str(err))
         return self.shared(outcome)

@@ -7,13 +7,15 @@ noprop/prime inputs and fault variables (``Fresh`` nodes) remain free.
 
 A program is closed once, into a ``ClosedProgram``: one step per statement,
 holding its protection-stripped source term, the variables that term reads
-and its nominal closed value.  That is the one place where protection ends,
-and the only code that computes a protection-free term (term nodes keep no
-protection-free copy): the terms it holds carry no protection flags, so
-nothing downstream strips them again.  A declaration's step has no source
-term; it is where the permanent faults on the inputs it declares enter the
-walk, the way ``oracle.eval_program`` applies them.  In a single-assignment program
-nothing before the declaration reads those inputs.
+and its nominal closed value, and the closed attack condition, in which every
+name but ``_`` and ``@`` stands for its fault-free value.  That is the one
+place where protection ends, the condition's included, and the only code
+that computes a protection-free term (term nodes keep no protection-free
+copy): the terms it holds carry no protection flags, so nothing downstream
+strips them again.  A declaration's step has no source term; it is where the
+permanent faults on the inputs it declares enter the walk, the way
+``oracle.eval_program`` applies them.  In a single-assignment program nothing
+before the declaration reads those inputs.
 
 A faulted run is that closure plus an overlay (``faults.inject``).  One
 walker goes through the steps in order: a statement keeps its nominal value
@@ -98,7 +100,7 @@ WalkState = Tuple[Dict[str, Expr], Tuple[str, ...]]
 class ClosedProgram:
     """A program closed once, the base every fault overlay is applied to."""
 
-    __slots__ = ("program", "steps", "_closed", "_reclosed")
+    __slots__ = ("program", "steps", "condition", "_closed", "_reclosed")
 
     def __init__(self, program: Program):
         self.program = program
@@ -116,13 +118,15 @@ class ClosedProgram:
             if isinstance(st, Declare):
                 steps.append(_DECLARATION)
                 continue
+            target = k = None
             if isinstance(st, Assign):
-                source, target, k = strip_protection(st.rhs), st.target, None
+                term, target = st.rhs, st.target
             elif isinstance(st, Verify):
-                source, target, k = strip_protection(st.condition), None, check
+                term, k = st.condition, check
                 check += 1
             else:
-                source, target, k = strip_protection(st.value), None, None
+                term = st.value
+            source = strip_protection(term)
             value, reads = self._close(source, env)
             if target is not None:
                 env[target] = value
@@ -130,6 +134,8 @@ class ClosedProgram:
         if not program.statements or not isinstance(program.statements[-1], Return):
             raise ExecutionError("program does not end with a return statement")
         self.steps = tuple(steps)
+        # every name but ``_`` and ``@`` stands for its fault-free value
+        self.condition = self._close(strip_protection(program.attack_condition), env)[0]
 
     def _close(self, e: Expr, env: Dict[str, Expr]) -> Tuple[Expr, FrozenSet[str]]:
         entry = self._closed.get(e)

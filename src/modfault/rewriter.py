@@ -9,12 +9,9 @@ identity (1+x)^d = 1+d*x (mod x^2).  Distributivity is deliberately absent
 (it is not confluent), so syntactically different normal forms denote
 generically different values.
 
-Program terms arrive without protection flags, because
-``executor.ClosedProgram`` strips them.  Attack conditions keep theirs:
-``analyzer.classify`` binds ``program.attack_condition`` as parsed, braces
-included.  Normal forms never carry the flag either way, because ``_norm``
-rebuilds every node it returns and ``_norm_dispatch`` drops the flag on
-variables.
+Terms arrive closed by ``executor.ClosedProgram``, attack conditions
+included, so they carry no protection flags and ``_norm_dispatch`` returns a
+leaf as it is.
 
 A modulus that normalizes to zero makes the reduction inert: ``Mod(x, 0)``
 is kept as-is and reported as a degenerate modulus, matching the concrete
@@ -131,8 +128,8 @@ class Rewriter:
 
     def _norm_dispatch(self, e: Expr, ctx: Optional[Expr]) -> Expr:
         kind = type(e)
-        if kind is Var or kind is Fresh:
-            return Var(e.name) if e.protected else e
+        if kind is Var or kind is Fresh or kind is Zero or kind is One:
+            return e
         if kind is Prod:
             return self._assemble_prod([self._norm(c, ctx) for c in e.operands], ctx)
         if kind is Sum:
@@ -145,10 +142,6 @@ class Rewriter:
             return self._norm_mod(e, ctx)
         if kind is Opp:
             return self._mk_opp(self._norm(e.arg, ctx), ctx)
-        if kind is Zero:
-            return ZERO
-        if kind is One:
-            return ONE
         raise TypeError(f"not an expression: {e!r}")
 
     def _norm_mod(self, e: Mod, ctx: Optional[Expr]) -> Expr:

@@ -4,8 +4,9 @@ Expressions form an arithmetic term tree over Z (sums, products, powers,
 modular reduction); conditions compare two expressions, plainly or modulo a
 third, and combine with conjunction and disjunction.  Every node carries a
 ``protected`` flag set by curly braces in the source.  Protection only
-matters to fault-site enumeration: ``executor.ClosedProgram`` strips it while
-closing the program into terms, and normal forms never carry it.
+matters to fault-site enumeration: ``executor.ClosedProgram``, the one place
+where it ends, strips it while closing the program into terms, the attack
+condition included, so the rewriter and normal forms never meet it.
 
 Expression and condition nodes are interned: each distinct term, protection
 flag included, is built once and shared while it is alive, so equality is

@@ -26,7 +26,9 @@ from modfault.executor import SymbolicRun
 from modfault.faults import Fault, FaultSite, RANDOMIZING, ZEROING
 from modfault.reporting import report_dict
 
-from conftest import CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT, free_vars
+from conftest import (
+    CORPUS_FILES, CRITERION_7, ROOT, THREE_FAULTS_PERMANENT, free_vars, walk,
+)
 
 
 def _attack_sites(report):
@@ -37,18 +39,20 @@ def _attack_sites(report):
 def test_identical_runs_are_harmless(corpus_programs):
     prog = corpus_programs["unprotected"]
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(ClosedProgram(prog), rw)
+    closed = ClosedProgram(prog)
+    nominal = nominal_run(closed, rw)
     same = SymbolicRun(None, nominal.normal_form)
-    outcome = classify(nominal, same, prog.attack_condition, rw)
+    outcome = classify(nominal, same, closed, rw)
     assert outcome.kind == HARMLESS  # `_ != @` fails on equal results
 
 
 def test_detected_beats_condition(corpus_programs):
     prog = corpus_programs["unprotected"]
     rw = Rewriter(primes=prog.prime_names())
-    nominal = nominal_run(ClosedProgram(prog), rw)
+    closed = ClosedProgram(prog)
+    nominal = nominal_run(closed, rw)
     aborted = SymbolicRun(2, None)
-    outcome = classify(nominal, aborted, prog.attack_condition, rw)
+    outcome = classify(nominal, aborted, closed, rw)
     assert outcome.kind == DETECTED and outcome.detected_by == 2
 
 
@@ -87,11 +91,17 @@ def test_unprotected_gcd_attack_surface(corpus_programs):
     assert branches["Sq"] == "_ =[p] @"
 
 
+def braced_condition(source):
+    """``unprotected.fj`` with braces at three levels of its attack condition."""
+    braced = source.replace("_ != @ /\\ ( _ =[p] @ \\/ _ =[q] @ )",
+                            "{_} != @ /\\ ( _ =[{p}] @ \\/ {_ =[q] @} )")
+    assert braced != source
+    return braced
+
+
 def test_braces_in_the_attack_condition_change_no_verdict(corpus_sources):
     plain = corpus_sources["unprotected"]
-    braced = plain.replace("_ != @ /\\ ( _ =[p] @ \\/ _ =[q] @ )",
-                           "{_} != @ /\\ ( _ =[{p}] @ \\/ {_ =[q] @} )")
-    assert braced != plain
+    braced = braced_condition(plain)
     cfg = FaultConfig(max_faults=1)
     report = analyze(parse(braced), cfg)
     assert report.summary == {"total": 56, "detected": 0, "harmless": 14,
@@ -101,6 +111,41 @@ def test_braces_in_the_attack_condition_change_no_verdict(corpus_sources):
         (v, o.kind, o.witness) for v, o in plain_results]
     # the satisfied branch is labelled with the source condition, braces included
     assert {o.branch for _, o in report.attacks()} == {"_ =[{p}] @", "{_ =[q] @}"}
+
+
+def test_the_attack_condition_reads_assigned_variables_at_their_fault_free_value(
+        corpus_sources):
+    # P and Q alias the primes: a fault on S leaks p or q whichever names the
+    # condition reads, and a fault on the aliases themselves changes nothing
+    plain = corpus_sources["unprotected"]
+    aliased = plain.replace("return S ;", "P := p ; Q := q ;\nreturn S ;").replace(
+        "_ =[p] @ \\/ _ =[q] @", "_ =[P] @ \\/ _ =[Q] @")
+    assert "P := p ; Q := q ;" in aliased and "_ =[P] @ \\/ _ =[Q] @" in aliased
+    cfg = FaultConfig(max_faults=1)
+    program = parse(aliased)
+    report = analyze(program, cfg)
+    assert report.summary == {"total": 64, "detected": 0, "harmless": 22,
+                              "attacks": 42, "failures": 0}
+    aliases = {i for i, st in enumerate(program.statements)
+               if getattr(st, "target", None) in ("P", "Q")}
+    outside = [(o.kind, o.witness) for v, o in report.results
+               if v[0].site.statement not in aliases]
+    assert outside == [(o.kind, o.witness) for _, o in analyze(parse(plain), cfg).results]
+    on_aliases = [o.kind for v, o in report.results if v[0].site.statement in aliases]
+    assert on_aliases == [HARMLESS] * 8
+
+
+def test_closed_terms_carry_no_protection(corpus_programs, corpus_sources):
+    # ClosedProgram is where protection ends, so the rewriter never meets a
+    # braced node, in a statement or in the attack condition
+    programs = [*corpus_programs.values(),
+                parse(braced_condition(corpus_sources["unprotected"]))]
+    for program in programs:
+        closed = ClosedProgram(program)
+        terms = [closed.condition]
+        for step in closed.steps:
+            terms += [t for t in (step.source, step.value) if t is not None]
+        assert not any(n.protected for t in terms for n in walk(t)), program
 
 
 def test_coherent_blinding_fault_is_harmless(corpus_programs):

@@ -105,11 +105,11 @@ def reference_run_symbolic(u, rewriter, check_faults):
     return SymbolicRun(None, rewriter.normalize(u.result), tuple(warnings))
 
 
-def reference_analyze_vector(unrolled, program, vector, nominal, rewriter):
+def reference_analyze_vector(unrolled, closed, vector, nominal, rewriter):
     check_faults = {f.site.check: f.kind for f in vector if f.site.scope == "check"}
     try:
         run = reference_run_symbolic(unrolled, rewriter, check_faults)
-        return classify(nominal, run, program.attack_condition, rewriter)
+        return classify(nominal, run, closed, rewriter)
     except RewriteBudgetExceeded as err:
         return Outcome(FAILURE, error=str(err))
 
@@ -169,7 +169,7 @@ def assert_prefix_tree_matches_reference(program, cfg, max_steps=100_000):
         new_rw.calls.clear()
         ref_rw.calls.clear()
         outcome = tree.outcome(vector)
-        expected = reference_analyze_vector(unrolled, program, vector, nominal, ref_rw)
+        expected = reference_analyze_vector(unrolled, closed, vector, nominal, ref_rw)
         assert outcome == expected, f"vector #{i}: {vector}"
         # when the prefix's run ended before the last fault's statement, the
         # reference made only the skipped calls, and the tree makes none
